@@ -25,14 +25,16 @@ vet:
 # serial MILP (warm vs cold inline), parallel MILP, the analytic dual bound
 # (branch-and-bound nodes with the Li–Yao–Yuan bound on vs off), the
 # artifact-store replay, recorded-vs-per-mode profile collection, the
-# compiled simulator kernel vs the reference interpreter, the optimization
+# compiled simulator kernel vs the reference interpreter (a benchmark of
+# internal/sim, where that test-only oracle lives), the optimization
 # server under concurrent load (cold store vs warm), the multi-core
 # task-graph solve with serial-vs-parallel schedule execution, and the
 # sharded-store scenario matrix (binary vs JSON warm reads, zero-copy mmap
 # vs copying reads, replay over a live mapping, batched vs plain puts, pooled
 # replay allocations). bench-all runs everything.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkSimCompiledKernel|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve|BenchmarkStoreScenarioMatrix)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve|BenchmarkStoreScenarioMatrix)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkSimCompiledKernel$$' -benchmem ./internal/sim
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
@@ -58,11 +60,15 @@ fuzz-smoke:
 # speedup below its floor (1.0 by default) or allocations above a committed
 # allocs_ceiling — see internal/tools/benchcheck for the schema. benchcheck
 # -history additionally tracks the gated metrics across runs in
-# BENCH_history.jsonl (see the history target).
+# BENCH_history.jsonl (see the history target). The benchmark harness in
+# perfbench/ is its own module built against this one, so it is vetted and
+# tested too: a change that removes API the benchmark uses fails here.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 	$(GO) test -race ./internal/pipeline ./internal/exp ./internal/milp ./internal/lp ./internal/sim ./internal/profile ./internal/serve ./internal/core ./internal/schedfile ./internal/workloads ./internal/analytic
 	$(GO) run ./internal/tools/benchcheck
 

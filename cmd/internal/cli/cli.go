@@ -1,9 +1,9 @@
 // Package cli holds the flag and pipeline wiring shared by the dvs-*
-// commands: every binary gets -cache-dir/-no-cache/-manifest, and the
-// optimizing ones add -scale and the MILP budget flags. The point is that all
-// five tools draw from one artifact store — a schedule solved by dvs-opt is a
-// cache hit for dvs-bench, and a run validated by dvs-bench is a cache hit
-// for dvs-sim.
+// commands: every binary gets -cache-dir/-no-cache/-manifest and the pprof
+// flags, and the optimizing ones add -scale and the MILP budget flags. The
+// point is that all six tools draw from one artifact store — a schedule
+// solved by dvs-opt is a cache hit for dvs-bench, and a run validated by
+// dvs-bench is a cache hit for dvs-sim.
 package cli
 
 import (
@@ -16,7 +16,6 @@ import (
 
 	"ctdvs/internal/exp"
 	"ctdvs/internal/pipeline"
-	"ctdvs/internal/sim"
 )
 
 // App carries the shared command state: parsed common flags and the pipeline
@@ -28,31 +27,11 @@ type App struct {
 	// Scale is the workload scale factor; registered by ScaleFlag, 1.0
 	// otherwise.
 	Scale float64
-	// CacheDir, CacheCodec, NoCache and Manifest are the cache flags every
-	// command registers.
-	CacheDir   string
-	CacheCodec string
-	NoCache    bool
-	Manifest   string
-
-	// CacheMmap enables zero-copy mmap reads of binary artifacts (on by
-	// default where the platform supports it); CacheWriteBatch coalesces
-	// artifact writes into per-shard directory-sync batches, flushed at
-	// Close. Both are escape hatches more than tunables.
-	CacheMmap       bool
-	CacheWriteBatch bool
-
-	// PerModeProfile disables the record-once/replay-per-mode profiling path
-	// and simulates every mode of every profile instead. The numbers are
-	// bit-identical either way; the flag exists for cross-checking and for
-	// memory-constrained runs.
-	PerModeProfile bool
-
-	// ReferenceSim runs simulations on the original instruction-walking
-	// interpreter instead of the compiled-table kernel. Bit-identical either
-	// way (and cache-compatible: artifact keys ignore the setting); the flag
-	// is the cross-checking escape hatch mirroring -per-mode-profile.
-	ReferenceSim bool
+	// CacheDir, NoCache and Manifest are the cache flags every command
+	// registers.
+	CacheDir string
+	NoCache  bool
+	Manifest string
 
 	// SolveLimit and Workers are registered by SolveFlags.
 	SolveLimit time.Duration
@@ -73,20 +52,10 @@ func New(name string) *App {
 	a := &App{Name: name, Scale: 1.0}
 	flag.StringVar(&a.CacheDir, "cache-dir", "",
 		"artifact cache directory: repeated runs with the same configuration skip profiling and MILP solves (empty = in-memory only)")
-	flag.StringVar(&a.CacheCodec, "cache-codec", "binary",
-		"encoding for newly written artifacts, binary or json; either store reads both, so switching never invalidates a cache")
 	flag.BoolVar(&a.NoCache, "no-cache", false,
 		"ignore -cache-dir and recompute everything (artifacts stay in memory for this run)")
 	flag.StringVar(&a.Manifest, "manifest", "",
 		"write a JSON run manifest (per-stage cache hits, misses and timings) to this file")
-	flag.BoolVar(&a.CacheMmap, "cache-mmap", true,
-		"read binary artifacts zero-copy through mmap where the platform supports it (decoded values are identical either way)")
-	flag.BoolVar(&a.CacheWriteBatch, "cache-write-batch", true,
-		"coalesce artifact writes into per-shard batches with one directory sync each (still crash-safe; flushed at exit)")
-	flag.BoolVar(&a.PerModeProfile, "per-mode-profile", false,
-		"simulate every mode when profiling instead of recording one event stream and replaying it (bit-identical, slower)")
-	flag.BoolVar(&a.ReferenceSim, "reference-sim", false,
-		"simulate with the reference instruction-walking interpreter instead of the compiled-table kernel (bit-identical, slower)")
 	flag.StringVar(&a.CPUProfile, "cpuprofile", "",
 		"write a pprof CPU profile of the whole run to this file")
 	flag.StringVar(&a.MemProfile, "memprofile", "",
@@ -123,23 +92,19 @@ func (a *App) Parse() {
 }
 
 // Runner returns the pipeline runner implied by the cache flags: disk-backed
-// when -cache-dir is set and -no-cache is not, memory-only otherwise.
+// when -cache-dir is set and -no-cache is not, memory-only otherwise. Every
+// disk store is set up the same way: binary artifacts, zero-copy mapped reads
+// where the platform has mmap, and writes coalesced into per-shard batches
+// that Close flushes.
 func (a *App) Runner() *pipeline.Runner {
 	if a.runner == nil {
 		var store *pipeline.Store
 		if a.CacheDir != "" && !a.NoCache {
-			format, err := pipeline.ParseFormat(a.CacheCodec)
+			s, err := pipeline.Open(a.CacheDir)
 			if err != nil {
 				a.Die(err)
 			}
-			s, err := pipeline.OpenWithFormat(a.CacheDir, format)
-			if err != nil {
-				a.Die(err)
-			}
-			s.SetMappedReads(a.CacheMmap)
-			if a.CacheWriteBatch {
-				s.EnableWriteBatching(pipeline.BatchConfig{})
-			}
+			s.EnableWriteBatching(pipeline.BatchConfig{})
 			store = s
 		}
 		a.runner = pipeline.NewRunner(store)
@@ -152,14 +117,6 @@ func (a *App) Runner() *pipeline.Runner {
 func (a *App) Config() *exp.Config {
 	c := exp.NewConfig(a.Scale)
 	c.Pipeline = a.Runner()
-	c.DisableRecording = a.PerModeProfile
-	if a.ReferenceSim {
-		mc := c.Machine.Config()
-		mc.ReferenceSim = true
-		// The machine pool builds from c.Machine's configuration at Get
-		// time, so swapping the prototype here covers pooled machines too.
-		c.Machine = sim.MustNew(mc)
-	}
 	return c
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"ctdvs/internal/pipeline"
 	"ctdvs/internal/profile"
+	"ctdvs/internal/sim"
 )
 
 // cachedConfig returns a test config whose pipeline persists to dir.
@@ -134,9 +135,13 @@ func TestRecordingSharedAcrossModeSets(t *testing.T) {
 		t.Errorf("warm recording was not served from disk: %+v", s)
 	}
 
-	// The replayed profile is bit-identical to a per-mode-simulated one.
+	// The replayed profile is bit-identical to a per-mode-simulated one. A
+	// negative record budget makes every recording unrecordable, so the
+	// profile stage takes its production per-mode fallback.
 	d := testConfig()
-	d.DisableRecording = true
+	mc := d.Machine.Config()
+	mc.RecordBudgetEvents = -1
+	d.Machine = sim.MustNew(mc)
 	prPM, err := d.Profile("adpcm/encode", 0, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -55,11 +55,6 @@ type Config struct {
 	// (pipeline.NewRunner over a pipeline.Store) to persist artifacts across
 	// processes.
 	Pipeline *pipeline.Runner
-	// DisableRecording forces per-mode simulation for every profile instead
-	// of the record-once/replay-per-mode path. The results are bit-identical
-	// either way (see profile.Collect); this is an escape hatch for
-	// cross-checking and for memory-constrained runs.
-	DisableRecording bool
 
 	mu           sync.Mutex
 	specs        map[string]*workloads.Spec
@@ -161,8 +156,8 @@ func (c *Config) Spec(name string) (*workloads.Spec, error) {
 // simulation per (benchmark, input) whose mode-invariant event stream serves
 // every mode set — so asking for 3-, 7- and 13-level profiles of one input
 // costs one simulation, not 23. Workloads outside the recording envelope
-// (and every workload when DisableRecording is set) fall back to per-mode
-// simulation with bit-identical results.
+// (sim.Config.RecordBudgetEvents) fall back to per-mode simulation with
+// bit-identical results.
 func (c *Config) Profile(bench string, input int, levels int) (*profile.Profile, error) {
 	return c.ProfileCtx(context.Background(), bench, input, levels)
 }
@@ -200,14 +195,12 @@ func (c *Config) ProfileCtx(ctx context.Context, bench string, input int, levels
 		},
 	}
 	return pipeline.RunCtx(ctx, c.runner(), st, c.profileKey(bench, input, levels), func(ctx context.Context) (*profile.Profile, error) {
-		if !c.DisableRecording {
-			rec, err := c.recording(ctx, spec, bench, input)
-			if err == nil {
-				return profile.FromRecording(rec, spec.Program, spec.Inputs[input], ms)
-			}
-			if !errors.Is(err, sim.ErrUnrecordable) {
-				return nil, err
-			}
+		rec, err := c.recording(ctx, spec, bench, input)
+		if err == nil {
+			return profile.FromRecording(rec, spec.Program, spec.Inputs[input], ms)
+		}
+		if !errors.Is(err, sim.ErrUnrecordable) {
+			return nil, err
 		}
 		m := c.acquireMachine()
 		defer c.releaseMachine(m)

@@ -35,9 +35,6 @@ func addSimConfig(b *pipeline.KeyBuilder, mc sim.Config) {
 	b.Float("ceff_compute_nf", mc.CeffComputeNF)
 	b.Float("ceff_l1_nf", mc.CeffL1NF)
 	b.Float("ceff_l2_nf", mc.CeffL2NF)
-	// ReferenceSim is deliberately not hashed: it selects between two
-	// bit-identical simulation kernels, so artifacts are interchangeable
-	// across the setting (and -reference-sim runs hit the same cache).
 }
 
 // addMILPOptions hashes the branch-and-bound options as configured (defaults

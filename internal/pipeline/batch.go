@@ -44,8 +44,9 @@ func (s *Store) EnableWriteBatching(cfg BatchConfig) {
 	if s.batch != nil {
 		return
 	}
-	cfg = cfg.withDefaults()
-	s.batch = &writeBatcher{s: s, cfg: cfg, pending: make(map[string]pendingPut)}
+	b := &writeBatcher{s: s, cfg: cfg.withDefaults(), pending: make(map[string]pendingPut)}
+	b.landed.L = &b.mu
+	s.batch = b
 }
 
 // Flush writes every pending batched artifact to disk now. A no-op without
@@ -57,9 +58,10 @@ func (s *Store) Flush() error {
 	return s.batch.flush()
 }
 
-// Close flushes pending batched writes, stops the batcher's timer, and
-// persists the access-time sidecar index Compact evicts by. The store
-// remains usable afterwards (later Puts write through immediately).
+// Close flushes pending batched writes, waits for any background flush still
+// writing, stops the batcher's timer, and persists the access-time sidecar
+// index Compact evicts by. The store remains usable afterwards (later Puts
+// write through immediately).
 func (s *Store) Close() error {
 	var errs []error
 	if b := s.batch; b != nil {
@@ -82,12 +84,18 @@ type pendingPut struct {
 // getPending, so in-process read-your-writes holds regardless of flush
 // timing; the flush itself swaps the pending set out under the lock and does
 // its disk work outside it, so readers and new writers never block on I/O.
+// A swapped-out batch stays readable in writing until its files are in
+// place, so a read racing the flush finds it in memory or on disk; landed
+// signals each batch leaving writing, which close waits for so that no
+// background flush is still writing when Close returns.
 type writeBatcher struct {
 	s   *Store
 	cfg BatchConfig
 
 	mu      sync.Mutex
 	pending map[string]pendingPut // keyed by "kind/key.ext"
+	writing []*map[string]pendingPut
+	landed  sync.Cond // L is &mu
 	timer   *time.Timer
 	err     error // sticky first background-flush error, surfaced on the next call
 	closed  bool
@@ -107,8 +115,15 @@ func (b *writeBatcher) getPending(kind Kind, key Key) ([]byte, Format, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		if p, ok := b.pending[pendingKey(kind, key, f)]; ok {
+		pk := pendingKey(kind, key, f)
+		if p, ok := b.pending[pk]; ok {
 			return p.data, f, true
+		}
+		// Newest batch first: it holds the latest Put of the key.
+		for i := len(b.writing) - 1; i >= 0; i-- {
+			if p, ok := (*b.writing[i])[pk]; ok {
+				return p.data, f, true
+			}
 		}
 	}
 	return nil, FormatJSON, false
@@ -133,7 +148,7 @@ func (b *writeBatcher) put(kind Kind, key Key, data []byte, f Format) error {
 	if len(b.pending) >= b.cfg.MaxPending {
 		batch := b.take()
 		b.mu.Unlock()
-		return b.writeBatch(batch)
+		return b.writeBatch(batch, false)
 	}
 	if b.timer == nil {
 		b.timer = time.AfterFunc(b.cfg.MaxDelay, b.deadlineFlush)
@@ -142,27 +157,30 @@ func (b *writeBatcher) put(kind Kind, key Key, data []byte, f Format) error {
 	return nil
 }
 
-// take swaps out the pending set and disarms the timer; callers hold mu.
-func (b *writeBatcher) take() map[string]pendingPut {
-	batch := b.pending
-	b.pending = make(map[string]pendingPut)
+// take swaps out the pending set, keeps it readable in writing until
+// writeBatch has landed it, and disarms the timer; callers hold mu. It
+// returns nil when nothing is pending.
+func (b *writeBatcher) take() *map[string]pendingPut {
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
 	}
-	return batch
+	if len(b.pending) == 0 {
+		return nil
+	}
+	batch := b.pending
+	b.pending = make(map[string]pendingPut)
+	b.writing = append(b.writing, &batch)
+	return &batch
 }
 
-// deadlineFlush is the timer callback; its error is surfaced on the next
-// Put/Flush/Close since nobody is waiting on the timer goroutine.
+// deadlineFlush is the timer callback; its error is kept sticky and surfaced
+// on the next Put/Flush/Close since nobody is waiting on the timer goroutine.
 func (b *writeBatcher) deadlineFlush() {
-	if err := b.flush(); err != nil {
-		b.mu.Lock()
-		if b.err == nil {
-			b.err = err
-		}
-		b.mu.Unlock()
-	}
+	b.mu.Lock()
+	batch := b.take()
+	b.mu.Unlock()
+	_ = b.writeBatch(batch, true) // kept sticky for the next call
 }
 
 func (b *writeBatcher) flush() error {
@@ -171,35 +189,45 @@ func (b *writeBatcher) flush() error {
 	b.err = nil
 	batch := b.take()
 	b.mu.Unlock()
-	if werr := b.writeBatch(batch); err == nil {
+	if werr := b.writeBatch(batch, false); err == nil {
 		err = werr
 	}
 	return err
 }
 
+// close lands what is pending and waits for batches other goroutines are
+// still writing, so every artifact is on disk when it returns.
 func (b *writeBatcher) close() error {
 	b.mu.Lock()
 	b.closed = true
-	err := b.err
-	b.err = nil
 	batch := b.take()
 	b.mu.Unlock()
-	if werr := b.writeBatch(batch); err == nil {
+	werr := b.writeBatch(batch, false)
+	b.mu.Lock()
+	for len(b.writing) > 0 {
+		b.landed.Wait()
+	}
+	err := b.err
+	b.err = nil
+	b.mu.Unlock()
+	if err == nil {
 		err = werr
 	}
 	return err
 }
 
-// writeBatch lands one batch: every artifact via the store's usual temp file
-// + rename, then one directory fsync per touched shard so the whole batch's
-// directory entries are durable at a per-batch, not per-artifact, cost.
-func (b *writeBatcher) writeBatch(batch map[string]pendingPut) error {
-	if len(batch) == 0 {
+// writeBatch lands one batch taken by take: every artifact via the store's
+// usual temp file + rename, then one directory fsync per touched shard so the
+// whole batch's directory entries are durable at a per-batch, not
+// per-artifact, cost. Then the batch leaves writing; with sticky set, its
+// error is kept for the next Put/Flush/Close. A nil batch is a no-op.
+func (b *writeBatcher) writeBatch(batch *map[string]pendingPut, sticky bool) error {
+	if batch == nil {
 		return nil
 	}
 	var errs []error
 	shards := make(map[string]struct{})
-	for _, p := range batch {
+	for _, p := range *batch {
 		if err := b.s.putNow(p.kind, p.key, p.data, p.format); err != nil {
 			errs = append(errs, err)
 			continue
@@ -211,7 +239,20 @@ func (b *writeBatcher) writeBatch(batch map[string]pendingPut) error {
 			errs = append(errs, fmt.Errorf("pipeline: sync shard %s: %w", dir, err))
 		}
 	}
-	return errors.Join(errs...)
+	err := errors.Join(errs...)
+	b.mu.Lock()
+	for i, w := range b.writing {
+		if w == batch {
+			b.writing = append(b.writing[:i], b.writing[i+1:]...)
+			break
+		}
+	}
+	if sticky && err != nil && b.err == nil {
+		b.err = err
+	}
+	b.landed.Broadcast()
+	b.mu.Unlock()
+	return err
 }
 
 // syncDir fsyncs a directory so freshly renamed entries survive a crash.

@@ -22,7 +22,7 @@ const (
 	FormatBinary
 )
 
-// String returns the codec name as spelled by the -cache-codec flag.
+// String returns the codec name, "binary" or "json".
 func (f Format) String() string {
 	if f == FormatBinary {
 		return "binary"
@@ -36,17 +36,6 @@ func (f Format) ext() string {
 		return ".bin"
 	}
 	return ".json"
-}
-
-// ParseFormat parses a -cache-codec flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatJSON, fmt.Errorf("pipeline: unknown cache codec %q (want binary or json)", s)
 }
 
 // Store is a content-addressed on-disk artifact store. Artifacts live under
@@ -118,9 +107,6 @@ func OpenWithFormat(dir string, write Format) (*Store, error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// WriteFormat returns the store's preferred write format.
-func (s *Store) WriteFormat() Format { return s.write }
 
 // SetMappedReads toggles the zero-copy mapped read mode the runner uses for
 // stages with a mapped decoder. It defaults to on where mmap exists; turning
@@ -244,8 +230,10 @@ func readAppend(buf []byte, path string) ([]byte, bool, error) {
 		return buf, false, err
 	}
 	defer f.Close()
+	// Size the buffer one byte past the file, as os.ReadFile does, so the
+	// read that sees EOF finds room instead of growing it a second time.
 	if st, err := f.Stat(); err == nil {
-		if need := int(st.Size()); cap(buf) < need {
+		if need := int(st.Size()) + 1; cap(buf) < need {
 			buf = make([]byte, 0, need)
 		}
 	}

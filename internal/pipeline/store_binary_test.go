@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -50,9 +52,6 @@ func TestStoreWritesBinaryForCapableStages(t *testing.T) {
 	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if store.WriteFormat() != FormatBinary {
-		t.Fatalf("default write format = %v, want binary", store.WriteFormat())
 	}
 	if _, err := Run(NewRunner(store), st, key, func() (int, error) { return 99, nil }); err != nil {
 		t.Fatal(err)
@@ -254,6 +253,42 @@ func TestStoreShardDirCaching(t *testing.T) {
 		d2 := store.Path(StageSolve, other, FormatJSON)
 		if d1 == d2 {
 			t.Error("distinct keys share one artifact path")
+		}
+	}
+}
+
+// TestReadAppendGrowsOnce pins readAppend's sizing: a buffer too small for
+// the file is replaced once, with one byte of room for the read that sees
+// EOF, so that read never grows it a second time. Both a fresh read and a
+// file exactly the size of a pooled buffer must come back at size+1.
+func TestReadAppendGrowsOnce(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		size    int
+		buf     []byte
+		wantCap int
+	}{
+		{100_000, nil, 100_001},
+		{64 << 10, make([]byte, 0, 64<<10), 64<<10 + 1},
+		{10, make([]byte, 0, 64<<10), 64 << 10}, // fits: reused as is
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("f%d", tc.size))
+		want := make([]byte, tc.size)
+		for i := range want {
+			want[i] = byte(i)
+		}
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := readAppend(tc.buf, path)
+		if err != nil || !ok {
+			t.Fatalf("size %d: ok=%v err=%v", tc.size, ok, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("size %d: read back different bytes", tc.size)
+		}
+		if cap(got) != tc.wantCap {
+			t.Errorf("size %d into cap %d: result cap = %d, want %d", tc.size, cap(tc.buf), cap(got), tc.wantCap)
 		}
 	}
 }

@@ -97,8 +97,8 @@ func Collect(m *sim.Machine, p *ir.Program, in ir.Input, modes *volt.ModeSet) (*
 
 // CollectPerMode profiles by running the full simulation once per mode — the
 // original implementation. It remains as the fallback for runs outside the
-// recording envelope, the baseline the replay path is benchmarked and
-// property-tested against, and an escape hatch (exp.Config.DisableRecording).
+// recording envelope (sim.Config.RecordBudgetEvents) and as the baseline the
+// replay path is benchmarked and property-tested against.
 func CollectPerMode(m *sim.Machine, p *ir.Program, in ir.Input, modes *volt.ModeSet) (*Profile, error) {
 	g, err := graphOf(p)
 	if err != nil {

@@ -218,13 +218,8 @@ func DecodeRecording(data []byte, p *ir.Program, in ir.Input, mc sim.Config) (*s
 	if f.Program != p.Name || f.Input != in.Name {
 		return nil, fmt.Errorf("schedfile: recording artifact is for %s/%s, want %s/%s", f.Program, f.Input, p.Name, in.Name)
 	}
-	// ReferenceSim only selects which of two bit-identical kernels simulates;
-	// it is not part of a recording's identity, so the machine check ignores
-	// it (the artifact never stores it either — machineJSON has no field).
-	want := mc
-	want.ReferenceSim = false
-	if got := machineFromJSON(f.Machine); got != want {
-		return nil, fmt.Errorf("schedfile: recording artifact machine %+v does not match configuration %+v", got, want)
+	if got := machineFromJSON(f.Machine); got != mc {
+		return nil, fmt.Errorf("schedfile: recording artifact machine %+v does not match configuration %+v", got, mc)
 	}
 	trace, err := unpackTrace(f.Trace, f.TraceLen)
 	if err != nil {

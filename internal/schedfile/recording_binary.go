@@ -152,12 +152,8 @@ func decodeRecordingBinary(r *pipeline.BinReader, p *ir.Program, in ir.Input, mc
 	if program != p.Name || input != in.Name {
 		return nil, fmt.Errorf("schedfile: recording artifact is for %s/%s, want %s/%s", program, input, p.Name, in.Name)
 	}
-	// As in DecodeRecording, ReferenceSim is not part of a recording's
-	// identity: the artifact never stores it and the check ignores it.
-	want := mc
-	want.ReferenceSim = false
-	if machine != want {
-		return nil, fmt.Errorf("schedfile: recording artifact machine %+v does not match configuration %+v", machine, want)
+	if machine != mc {
+		return nil, fmt.Errorf("schedfile: recording artifact machine %+v does not match configuration %+v", machine, mc)
 	}
 	rec := &sim.Recording{
 		Program:   program,

@@ -136,9 +136,11 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	// compactStop ends the background store-compaction loop; closed once by
-	// Drain via stopCompact.
+	// Drain via stopCompact. compactDone lets Drain wait for the loop to
+	// exit, so no compaction runs after Drain returns.
 	compactStop chan struct{}
 	stopCompact sync.Once
+	compactDone sync.WaitGroup
 
 	stats stats
 
@@ -162,6 +164,7 @@ func New(cfg *exp.Config, opts Options) *Server {
 		compactStop: make(chan struct{}),
 	}
 	if opts.StoreBudgetBytes > 0 && s.store() != nil {
+		s.compactDone.Add(1)
 		go s.compactLoop()
 	}
 	return s
@@ -180,6 +183,7 @@ func (s *Server) store() *pipeline.Store {
 // concurrent readers (see pipeline.Store.Compact), so it needs no
 // coordination with in-flight requests; Drain stops the loop.
 func (s *Server) compactLoop() {
+	defer s.compactDone.Done()
 	t := time.NewTicker(s.opts.CompactInterval)
 	defer t.Stop()
 	for {
@@ -207,12 +211,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Drain stops admitting new optimization requests (they get 503) and blocks
-// until every in-flight execution has finished. Call it on SIGTERM before
-// http.Server.Shutdown so responses still reach their clients.
+// Drain stops admitting new optimization requests (they get 503) and the
+// background compaction loop, and blocks until every in-flight execution and
+// the loop have finished. Call it on SIGTERM before http.Server.Shutdown so
+// responses still reach their clients.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.stopCompact.Do(func() { close(s.compactStop) })
+	s.compactDone.Wait()
 	s.inflight.Wait()
 }
 
@@ -680,7 +686,6 @@ func (s *Server) Stats() *Stats {
 	if s.cfg.Pipeline != nil {
 		st.Cache = s.cfg.Pipeline.Manifest().Stats()
 		if store := s.cfg.Pipeline.Store(); store != nil {
-			st.CacheCodec = store.WriteFormat().String()
 			ss := &StoreStats{
 				Dir:         store.Dir(),
 				BudgetBytes: s.opts.StoreBudgetBytes,

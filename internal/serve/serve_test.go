@@ -459,15 +459,6 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if st.Workers != 3 || st.QueueDepth != 5 || st.Draining {
 		t.Errorf("statsz = %+v", st)
 	}
-	if st.CacheCodec != "" {
-		t.Errorf("memory-only server reports cache codec %q", st.CacheCodec)
-	}
-
-	// A disk-backed server surfaces its store's write format.
-	s, _ := newTestServer(t, t.TempDir(), Options{Workers: 1, QueueDepth: 1})
-	if got := s.Stats().CacheCodec; got != "binary" {
-		t.Errorf("disk-backed cache codec = %q, want binary", got)
-	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -120,10 +120,6 @@ type Stats struct {
 	// simulations/solves, disk and memory hits were served from artifacts.
 	Cache map[pipeline.Kind]pipeline.KindStats `json:"cache"`
 
-	// CacheCodec is the disk store's write format ("binary" or "json");
-	// empty when the server runs memory-only.
-	CacheCodec string `json:"cache_codec,omitempty"`
-
 	// Store is the disk store's on-disk footprint and eviction gauges;
 	// absent when the server runs memory-only.
 	Store *StoreStats `json:"store,omitempty"`

@@ -19,10 +19,10 @@ import (
 // genuinely dynamic work (cache probes, predictor updates, memory-channel
 // drain, RNG draws).
 //
-// Bit-for-bit fidelity with the reference interpreter (Config.ReferenceSim,
-// see runReference) comes from performing exactly its floating-point
-// operations in exactly its order: the compiled kernel only hoists
-// expressions whose operands cannot change between evaluations — the
+// Bit-for-bit fidelity with the reference interpreter (runReference, the
+// test oracle in reference_test.go) comes from performing exactly its
+// floating-point operations in exactly its order: the compiled kernel only
+// hoists expressions whose operands cannot change between evaluations — the
 // per-mode time/energy increments, recomputed with the reference
 // expression shapes whenever the mode changes — and replaces interface
 // dispatch, map lookups and per-run allocations with table indexing. The
@@ -134,7 +134,7 @@ func CompileProgram(p *ir.Program, c Config) (*CompiledProgram, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	info, maxCond, numEdges, numPaths := buildBlockInfo(p, nil)
+	info, maxCond, numEdges, numPaths := buildBlockInfo(p)
 	cp := &CompiledProgram{
 		prog:     p,
 		cfg:      c,
@@ -231,7 +231,8 @@ func CompileProgram(p *ir.Program, c Config) (*CompiledProgram, error) {
 // in the hot loop. Valid ways form a prefix exactly as in (*cache) — fills
 // and evictions both insert at way 0 — so the scan needs no validity state.
 // The hit/miss sequence for any address sequence is bit-identical to
-// (*cache) by construction.
+// (*cache), the reference interpreter's cache in reference_test.go, by
+// construction.
 type ckCache struct {
 	lineShift uint
 	setMask   uint64
@@ -532,7 +533,7 @@ func (m *Machine) runCompiled(cp *CompiledProgram, in ir.Input, sched *Schedule,
 			// Memory accesses: op.count consecutive accesses to one stream,
 			// the cursor held in a register across the run. Each access
 			// probes L1, then L2, then books an asynchronous main-memory
-			// channel (inlined memAccess with the per-mode constants hoisted
+			// channel (the reference memAccess inlined, with the per-mode constants hoisted
 			// and the stream descriptor flattened into the op record).
 			isRandom, fastWrap := op.random, op.fastWrap
 			stride, ws, base := op.stride, op.ws, op.base

@@ -12,11 +12,14 @@ import (
 	"ctdvs/internal/volt"
 )
 
-// refMachine builds a machine identical to mc but running the reference
-// instruction-walking interpreter, the oracle the compiled kernel must match.
+// refMachine builds a machine of configuration mc that runs the reference
+// instruction-walking interpreter (reference_test.go), the oracle the
+// compiled kernel must match.
 func refMachine(mc Config) *Machine {
-	mc.ReferenceSim = true
-	return MustNew(mc)
+	m := MustNew(mc)
+	r := &refInterp{Machine: m, l1: newCache(mc.L1), l2: newCache(mc.L2)}
+	m.interp = r.runReference
+	return m
 }
 
 // randomSchedule assigns a random mode to a random subset of p's CFG edges
@@ -119,9 +122,6 @@ func TestCompiledMatchesReferenceRecord(t *testing.T) {
 				t.Fatalf("cfg %d prog %d: compiled: %v", ci, pi, err)
 			}
 			checkReplayedResult(t, fmt.Sprintf("cfg %d prog %d", ci, pi), wantRes, gotRes)
-			// The recordings must agree modulo the kernel-selection flag,
-			// which is part of the machine config but not of the stream.
-			wantRec.Config.ReferenceSim = false
 			if !reflect.DeepEqual(wantRec, gotRec) {
 				t.Errorf("cfg %d prog %d: recordings differ", ci, pi)
 			}

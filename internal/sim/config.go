@@ -83,14 +83,6 @@ type Config struct {
 	CeffComputeNF float64 // per computation cycle
 	CeffL1NF      float64 // per L1 access
 	CeffL2NF      float64 // per L2 access cycle
-
-	// ReferenceSim selects the original instruction-walking interpreter
-	// instead of the compiled-table kernel (see CompileProgram). The two are
-	// bit-identical on every program, input, schedule and mode set — asserted
-	// by randomized property tests — so this is an escape hatch for
-	// cross-checking and benchmarking, not a semantic switch. Answers never
-	// change; artifact cache keys deliberately ignore it.
-	ReferenceSim bool
 }
 
 // DefaultConfig returns the Table 2 machine: 64 KB 4-way 32 B L1 (1 cycle),

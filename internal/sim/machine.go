@@ -82,8 +82,6 @@ type Schedule struct {
 // goroutine; see exp.Config for an example.
 type Machine struct {
 	cfg  Config
-	l1   *cache
-	l2   *cache
 	pred *predictor
 
 	// rec is non-nil only while Record's instrumented run is in flight;
@@ -116,6 +114,12 @@ type Machine struct {
 	// would. Like compiled, it survives Reset: a re-seeded generator carries
 	// no state between runs, it only spares the allocation.
 	rng *rand.Rand
+
+	// interp, when non-nil, runs every simulation instead of the compiled
+	// kernel. Only tests set it, to install the reference interpreter (see
+	// refMachine in compile_test.go); like the configuration, it survives
+	// Reset.
+	interp func(p *ir.Program, in ir.Input, sched *Schedule, gov *govRun, initial volt.Mode) (*Result, error)
 }
 
 // New builds a machine, validating the configuration.
@@ -123,12 +127,7 @@ func New(c Config) (*Machine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{
-		cfg:  c,
-		l1:   newCache(c.L1),
-		l2:   newCache(c.L2),
-		pred: newPredictor(c.PredictorEntries),
-	}, nil
+	return &Machine{cfg: c, pred: newPredictor(c.PredictorEntries)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -162,8 +161,6 @@ func (m *Machine) rngFor(seed int64) *rand.Rand {
 // machine handed back by one experiment must not leak its EdgeHook — or,
 // if future state outlives run() — into the next borrower.
 func (m *Machine) Reset() {
-	m.l1.reset()
-	m.l2.reset()
 	m.pred.reset()
 	m.EdgeHook = nil
 	m.rec = nil
@@ -216,9 +213,6 @@ type blockInfo struct {
 	succs   []int // deduplicated successor block IDs, in terminator order
 	predIdx map[int]int
 	succIdx map[int]int
-	// dvsMode[s] is the mode set by edge (this block → succs[s]); -1 keeps
-	// the current mode.
-	dvsMode []int
 	// edgeBase is the cfg.FromProgram ID of edge (this block → succs[0]);
 	// successor s is edge edgeBase+s (the virtual entry edge is ID 0).
 	// pathBase is the index of the block's first local path in cfg's
@@ -230,14 +224,12 @@ type blockInfo struct {
 	succRank []int
 }
 
-// run dispatches a simulation to the compiled kernel (the default) or the
-// reference interpreter (Config.ReferenceSim). Both produce bit-identical
-// Results; the reference loop exists as the oracle the compiled kernel is
-// property-tested against (see compile_test.go) and as a CLI escape hatch
-// (-reference-sim).
+// run dispatches a simulation to the compiled kernel, or to the interp hook
+// when a test has installed the reference interpreter, the oracle the
+// compiled kernel is property-tested against (see compile_test.go).
 func (m *Machine) run(p *ir.Program, in ir.Input, sched *Schedule, gov *govRun, initial volt.Mode) (*Result, error) {
-	if m.cfg.ReferenceSim {
-		return m.runReference(p, in, sched, gov, initial)
+	if m.interp != nil {
+		return m.interp(p, in, sched, gov, initial)
 	}
 	cp, err := m.compiledFor(p)
 	if err != nil {
@@ -246,319 +238,12 @@ func (m *Machine) run(p *ir.Program, in ir.Input, sched *Schedule, gov *govRun, 
 	return m.runCompiled(cp, in, sched, gov, initial)
 }
 
-// runReference is the original instruction-walking interpreter, retained
-// verbatim as the correctness oracle for the compiled kernel.
-func (m *Machine) runReference(p *ir.Program, in ir.Input, sched *Schedule, gov *govRun, initial volt.Mode) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m.l1.reset()
-	m.l2.reset()
-	m.pred.reset()
-
-	info, maxCond, numEdges, numPaths := buildBlockInfo(p, sched)
-	res := &Result{
-		Program: p.Name,
-		Input:   in.Name,
-		Mode:    initial,
-		Blocks:  make([]BlockStat, len(p.Blocks)),
-	}
-
-	// Dense counters, converted to maps at the end.
-	gcount := make([][]int64, len(p.Blocks))
-	dcount := make([][][]int64, len(p.Blocks))
-	for i, bi := range info {
-		gcount[i] = make([]int64, len(bi.succs))
-		dcount[i] = make([][]int64, len(bi.preds))
-		for h := range bi.preds {
-			dcount[i][h] = make([]int64, len(bi.succs))
-		}
-	}
-	entryCount := int64(0) // traversals of the virtual entry edge
-
-	rng := m.rngFor(in.Seed)
-	loopCount := make([]int, maxCond+1)
-	streamOff := make([]int64, len(p.Streams))
-
-	// Machine state. Memory channels track when each concurrent miss slot
-	// frees; the paper's model is MemChannels == 1 (fully serialized).
-	memChans := make([]float64, m.cfg.MemChannels)
-	memDrained := func() float64 {
-		worst := 0.0
-		for _, t := range memChans {
-			if t > worst {
-				worst = t
-			}
-		}
-		return worst
-	}
-	var (
-		timeUS     float64
-		energyUJ   float64
-		stallUS    float64
-		curMode    = initial
-		curModeIdx = -1
-	)
-	if sched != nil {
-		curModeIdx = sched.Initial
-	}
-	if gov != nil {
-		curModeIdx = gov.modes.Index(initial.F)
-	}
-	ePerComputeCycle := func() float64 { return m.cfg.CeffComputeNF * curMode.V * curMode.V * 1e-3 }
-
-	switchTo := func(table *volt.ModeSet, reg volt.Regulator, target int) {
-		if target < 0 || target == curModeIdx {
-			return
-		}
-		next := table.Mode(target)
-		res.Transitions++
-		st := reg.TransitionTime(curMode.V, next.V)
-		se := reg.TransitionEnergy(curMode.V, next.V)
-		timeUS += st
-		energyUJ += se
-		res.TransitionTimeUS += st
-		res.TransitionEnergyUJ += se
-		curMode = next
-		curModeIdx = target
-	}
-	setMode := func(target int) {
-		if sched == nil {
-			return
-		}
-		switchTo(sched.Modes, sched.Regulator, target)
-	}
-
-	// Governor window state.
-	var (
-		nextCheckUS float64
-		winStartUS  float64
-		winStallUS  float64
-		winCycles   int64
-		winMisses   int64
-		totalCycles = func() int64 { return res.Params.NCache + res.Params.NOverlap + res.Params.NDependent }
-	)
-	if gov != nil {
-		nextCheckUS = gov.intervalUS
-	}
-
-	// Traverse the virtual entry edge.
-	entryCount++
-	if m.EdgeHook != nil {
-		m.EdgeHook(cfg.Entry, 0)
-	}
-	if sched != nil {
-		if mi, ok := sched.Assignment[cfg.Edge{From: cfg.Entry, To: 0}]; ok {
-			setMode(mi)
-		}
-	}
-
-	cur := 0
-	predIdx := 0 // index of cfg.Entry in block 0's preds
-	const maxSteps = 1 << 34
-	steps := 0
-
-	for {
-		steps++
-		if steps > maxSteps {
-			return nil, errf("program %q exceeded %d block executions; infinite loop?", p.Name, maxSteps)
-		}
-		bi := &info[cur]
-		blk := p.Blocks[cur]
-		bs := &res.Blocks[cur]
-		bs.Invocations++
-		if m.rec != nil && !m.rec.addBlock(uint32(cur)) {
-			return nil, errf("program %q exceeded the recording budget of %d events", p.Name, m.rec.budget)
-		}
-		blockStartTime := timeUS
-		blockStartEnergy := energyUJ
-
-		f := curMode.F
-		for _, instr := range blk.Instrs {
-			switch v := instr.(type) {
-			case ir.Compute:
-				if v.DependsOnLoad {
-					if drained := memDrained(); drained > timeUS {
-						// Gated stall waiting for memory: time passes, no
-						// energy.
-						stallUS += drained - timeUS
-						timeUS = drained
-					}
-				}
-				c := int64(v.Cycles)
-				timeUS += float64(c) / f
-				energyUJ += float64(c) * ePerComputeCycle()
-				if v.DependsOnLoad {
-					res.Params.NDependent += c
-				} else {
-					res.Params.NOverlap += c
-				}
-			case ir.Load:
-				timeUS, energyUJ = m.memAccess(p, v.Stream, streamOff, rng, timeUS, energyUJ, memChans, curMode, res)
-			case ir.Store:
-				timeUS, energyUJ = m.memAccess(p, v.Stream, streamOff, rng, timeUS, energyUJ, memChans, curMode, res)
-			}
-		}
-
-		// Resolve the terminator.
-		var next int
-		switch t := blk.Term.(type) {
-		case ir.Exit:
-			// Drain outstanding memory and close out the block.
-			if drained := memDrained(); drained > timeUS {
-				stallUS += drained - timeUS
-				timeUS = drained
-			}
-			bs.TimeUS += timeUS - blockStartTime
-			bs.EnergyUJ += energyUJ - blockStartEnergy
-			res.TimeUS = timeUS
-			res.LeakageEnergyUJ = m.cfg.StaticPowerMW * timeUS * 1e-3
-			res.EnergyUJ = energyUJ + res.LeakageEnergyUJ
-			res.EdgeCountsByID, res.PathCountsByID = toDense(info, gcount, dcount, entryCount, numEdges, numPaths)
-			return res, nil
-		case ir.Jump:
-			next = t.To
-		case ir.Branch:
-			var taken bool
-			switch c := t.Cond.(type) {
-			case ir.LoopCond:
-				trip := in.TripFor(c)
-				loopCount[c.ID]++
-				if loopCount[c.ID] < trip {
-					taken = true
-				} else {
-					loopCount[c.ID] = 0
-				}
-			case ir.ProbCond:
-				taken = rng.Float64() < in.ProbFor(c)
-			}
-			res.Branches++
-			hit := m.pred.predictAndUpdate(cur, taken)
-			if m.rec != nil {
-				m.rec.addBranch(!hit)
-			}
-			if !hit {
-				res.Mispredicts++
-				pen := int64(m.cfg.MispredictPenaltyCycles)
-				timeUS += float64(pen) / f
-				energyUJ += float64(pen) * ePerComputeCycle()
-				res.Params.NOverlap += pen
-			}
-			if taken {
-				next = t.Taken
-			} else {
-				next = t.Fall
-			}
-		}
-
-		bs.TimeUS += timeUS - blockStartTime
-		bs.EnergyUJ += energyUJ - blockStartEnergy
-
-		si := bi.succIdx[next]
-		gcount[cur][si]++
-		dcount[cur][predIdx][si]++
-		if m.EdgeHook != nil {
-			m.EdgeHook(cur, next)
-		}
-		setMode(bi.dvsMode[si])
-
-		// Run-time governor tick: at interval boundaries, summarize the
-		// window and let the policy pick the next mode.
-		if gov != nil && timeUS >= nextCheckUS {
-			stats := IntervalStats{
-				Mode:         curModeIdx,
-				WallUS:       timeUS - winStartUS,
-				ActiveCycles: totalCycles() - winCycles,
-				StallUS:      stallUS - winStallUS,
-				Misses:       res.MemMisses - winMisses,
-			}
-			want := gov.g.Decide(stats)
-			if want >= 0 && want < gov.modes.Len() {
-				switchTo(gov.modes, gov.reg, want)
-			}
-			winStartUS = timeUS
-			winStallUS = stallUS
-			winCycles = totalCycles()
-			winMisses = res.MemMisses
-			nextCheckUS = timeUS + gov.intervalUS
-		}
-
-		predIdx = info[next].predIdx[cur]
-		cur = next
-	}
-}
-
-// memAccess performs one load/store: L1, then L2, then main memory. Cache
-// hits occupy the pipeline for their latency (frequency-scaled, energy
-// charged); main-memory misses occupy the earliest-free asynchronous memory
-// channel without blocking the CPU.
-func (m *Machine) memAccess(p *ir.Program, stream int, streamOff []int64, rng *rand.Rand,
-	timeUS, energyUJ float64, memChans []float64, mode volt.Mode, res *Result) (float64, float64) {
-
-	s := &p.Streams[stream]
-	var off int64
-	if s.Random {
-		off = rng.Int63n(s.WorkingSet) &^ 3 // word-aligned
-	} else {
-		off = streamOff[stream]
-		streamOff[stream] = (off + s.Stride) % s.WorkingSet
-	}
-	addr := s.Base + uint64(off)
-
-	v2 := mode.V * mode.V
-	// L1 lookup always happens.
-	l1Cycles := int64(m.cfg.L1.LatencyCycles)
-	timeUS += float64(l1Cycles) / mode.F
-	energyUJ += m.cfg.CeffL1NF * v2 * 1e-3
-	if m.l1.access(addr) {
-		res.L1Hits++
-		res.Params.NCache += l1Cycles
-		if m.rec != nil {
-			m.rec.addMem(memL1Hit)
-		}
-		return timeUS, energyUJ
-	}
-	// L2 lookup.
-	l2Cycles := int64(m.cfg.L2.LatencyCycles)
-	timeUS += float64(l2Cycles) / mode.F
-	energyUJ += m.cfg.CeffL2NF * v2 * 1e-3 * float64(l2Cycles)
-	if m.l2.access(addr) {
-		res.L2Hits++
-		res.Params.NCache += l1Cycles + l2Cycles
-		if m.rec != nil {
-			m.rec.addMem(memL2Hit)
-		}
-		return timeUS, energyUJ
-	}
-	// Main memory: asynchronous, non-blocking for the CPU (dependent
-	// computation waits for the channels to drain). The miss takes the
-	// earliest-free channel.
-	res.MemMisses++
-	res.Params.NCache += l1Cycles + l2Cycles
-	if m.rec != nil {
-		m.rec.addMem(memMiss)
-	}
-	ch := 0
-	for k := 1; k < len(memChans); k++ {
-		if memChans[k] < memChans[ch] {
-			ch = k
-		}
-	}
-	start := timeUS
-	if memChans[ch] > start {
-		start = memChans[ch]
-	}
-	memChans[ch] = start + m.cfg.MemLatencyUS
-	res.Params.TInvariantUS += m.cfg.MemLatencyUS
-	return timeUS, energyUJ
-}
-
-// buildBlockInfo precomputes predecessor/successor indexing, per-edge DVS
-// mode assignments, and the dense edge/path numbering that mirrors
-// cfg.FromProgram (entry edge first, then blocks in ID order with successors
-// in terminator order; paths sorted by (Mid, In, Out)). It also returns the
-// largest condition ID in use and the total edge and path counts.
-func buildBlockInfo(p *ir.Program, sched *Schedule) (info []blockInfo, maxCond, numEdges, numPaths int) {
+// buildBlockInfo precomputes predecessor/successor indexing and the dense
+// edge/path numbering that mirrors cfg.FromProgram (entry edge first, then
+// blocks in ID order with successors in terminator order; paths sorted by
+// (Mid, In, Out)). It also returns the largest condition ID in use and the
+// total edge and path counts.
+func buildBlockInfo(p *ir.Program) (info []blockInfo, maxCond, numEdges, numPaths int) {
 	n := len(p.Blocks)
 	info = make([]blockInfo, n)
 	for i := range info {
@@ -600,15 +285,8 @@ func buildBlockInfo(p *ir.Program, sched *Schedule) (info []blockInfo, maxCond, 
 	numEdges = 1 // the virtual entry edge
 	for i := range info {
 		bi := &info[i]
-		bi.dvsMode = make([]int, len(bi.succs))
 		bi.succRank = make([]int, len(bi.succs))
 		for s, to := range bi.succs {
-			bi.dvsMode[s] = -1
-			if sched != nil {
-				if mi, ok := sched.Assignment[cfg.Edge{From: i, To: to}]; ok {
-					bi.dvsMode[s] = mi
-				}
-			}
 			for _, other := range bi.succs {
 				if other < to {
 					bi.succRank[s]++
@@ -623,34 +301,13 @@ func buildBlockInfo(p *ir.Program, sched *Schedule) (info []blockInfo, maxCond, 
 	return info, maxCond, numEdges, numPaths
 }
 
-// toDense converts the traversal counters into the cfg-numbered dense edge
-// and path count arrays.
-func toDense(info []blockInfo, gcount [][]int64, dcount [][][]int64, entryCount int64, numEdges, numPaths int) ([]int64, []int64) {
-	edges := make([]int64, numEdges)
-	paths := make([]int64, numPaths)
-	edges[0] = entryCount
-	for i := range info {
-		bi := &info[i]
-		ns := len(bi.succs)
-		for s := range bi.succs {
-			edges[bi.edgeBase+s] = gcount[i][s]
-		}
-		for h := range bi.preds {
-			for s := range bi.succs {
-				paths[bi.pathBase+h*ns+bi.succRank[s]] = dcount[i][h][s]
-			}
-		}
-	}
-	return edges, paths
-}
-
 // CountMaps derives sparse cfg-keyed edge and path count maps from the
 // result's dense counters. p must be the program the result was simulated
 // from; the dense arrays must match its numbering. The simulator's hot paths
 // deal only in the dense arrays — the maps exist for callers (and tests)
 // that want to look counts up by edge or path value.
 func (res *Result) CountMaps(p *ir.Program) (map[cfg.Edge]int64, map[cfg.Path]int64, error) {
-	info, _, numEdges, numPaths := buildBlockInfo(p, nil)
+	info, _, numEdges, numPaths := buildBlockInfo(p)
 	if len(res.EdgeCountsByID) != numEdges || len(res.PathCountsByID) != numPaths {
 		return nil, nil, errf("result counts (%d edges, %d paths) do not match program %q (%d, %d)",
 			len(res.EdgeCountsByID), len(res.PathCountsByID), p.Name, numEdges, numPaths)

@@ -193,7 +193,7 @@ func layoutFor(p *ir.Program) *replayLayout {
 		return v.(*replayLayout)
 	}
 	lay := &replayLayout{}
-	lay.info, _, lay.numEdges, lay.numPaths = buildBlockInfo(p, nil)
+	lay.info, _, lay.numEdges, lay.numPaths = buildBlockInfo(p)
 	lay.blocks = make([]replayBlock, len(p.Blocks))
 	for i, b := range p.Blocks {
 		rb := &lay.blocks[i]

@@ -72,7 +72,7 @@ func (rec *Recording) ReplayAll(modes []volt.Mode) ([]*Result, error) {
 
 	// Per-(op, mode) increments, op-major so the per-event mode loop is
 	// contiguous, and per-mode event constants, each built with the same
-	// expression shape the interpreter evaluates (see run and memAccess).
+	// expression shape the compiled kernel evaluates (see modeConstsFor).
 	// grown zeroes the tables, matching the fresh make()s they replace (the
 	// opMem rows of dtOp/enOp are written never, read never — but must not
 	// carry stale values into a shorter layout's rows).

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ctdvs/internal/ir"
@@ -40,5 +41,26 @@ func TestResetClearsHookAndState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-Reset run differs from fresh machine:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// machineSink keeps TestNewMachineFootprint's machines on the heap.
+var machineSink *Machine
+
+// TestNewMachineFootprint pins what a production machine allocates up front:
+// the configuration and the branch predictor, well under 16 KiB. The compiled
+// kernel sizes its caches on first run, so tag arrays that only the reference
+// interpreter reads (about 162 KiB at the default configuration) must not
+// creep back into New.
+func TestNewMachineFootprint(t *testing.T) {
+	const n = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		machineSink = MustNew(DefaultConfig())
+	}
+	runtime.ReadMemStats(&after)
+	if perNew := (after.TotalAlloc - before.TotalAlloc) / n; perNew >= 16<<10 {
+		t.Errorf("sim.New(DefaultConfig()) allocates %d bytes, want < %d", perNew, 16<<10)
 	}
 }
