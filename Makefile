@@ -39,9 +39,10 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing pass over every artifact and request decoder. Each target
-# gets a few seconds of coverage-guided input on top of its checked-in
-# corpus; any crasher it finds becomes a regression seed under testdata/fuzz.
+# Short fuzzing pass over every artifact and request decoder, and over the
+# voltage inversion against its reference bisection. Each target gets a few
+# seconds of coverage-guided input on top of its checked-in corpus; any
+# crasher it finds becomes a regression seed under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime=10s ./internal/schedfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime=10s ./internal/schedfile
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadGraphSpec$$' -fuzztime=10s ./internal/schedfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzVoltage$$' -fuzztime=10s ./internal/volt
 
 # The PR gate: vet, full build, the whole test suite, the race detector over
 # the packages with real concurrency (pipeline singleflight and concurrent

@@ -26,7 +26,6 @@ import (
 	"testing"
 	"time"
 
-	"ctdvs/internal/analytic"
 	cfggraph "ctdvs/internal/cfg"
 	"ctdvs/internal/core"
 	"ctdvs/internal/exp"
@@ -418,47 +417,6 @@ func BenchmarkDVSExecution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.RunDVS(spec.Program, spec.Inputs[0], res.Schedule); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAnalyticDiscreteLP(b *testing.B) {
-	ms, err := volt.Levels(13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := analytic.Params{
-		NOverlap:   4e6,
-		NDependent: 5.8e6,
-		NCache:     3e5,
-		TInvariant: 8000,
-		DeadlineUS: 16000,
-	}
-	b.ResetTimer()
-	var energy float64
-	for i := 0; i < b.N; i++ {
-		sol, err := analytic.OptimizeDiscrete(p, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		energy = sol.EnergyVC
-	}
-	b.ReportMetric(energy/1e6, "MV2cycles")
-}
-
-func BenchmarkAnalyticContinuous(b *testing.B) {
-	p := analytic.Params{
-		NOverlap:   4e6,
-		NDependent: 5.8e6,
-		NCache:     3e5,
-		TInvariant: 8000,
-		DeadlineUS: 16000,
-	}
-	vr := analytic.DefaultVRange()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analytic.OptimizeContinuous(p, vr); err != nil {
 			b.Fatal(err)
 		}
 	}

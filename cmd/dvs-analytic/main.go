@@ -60,6 +60,9 @@ func main() {
 		app.Die(err)
 	}
 	vr := analytic.VRange{Lo: *vLo, Hi: *vHi, Scaling: volt.DefaultScaling()}
+	if err := vr.Validate(); err != nil {
+		app.Die(err)
+	}
 
 	key := pipeline.NewKey(kindAnalytic).
 		// Report layout version: bump when report() gains sections, so cached

@@ -24,6 +24,9 @@ func BaselineContinuous(p Params, vr VRange) (v, f, energyVC float64, err error)
 	if e := p.Validate(); e != nil {
 		return 0, 0, 0, e
 	}
+	if e := vr.Validate(); e != nil {
+		return 0, 0, 0, e
+	}
 	fLo, fHi := vr.FLo(), vr.FHi()
 	if t := p.ExecTimeUS(fHi); t > p.DeadlineUS {
 		return 0, 0, 0, &ErrDeadlineInfeasible{NeedUS: t, HaveUS: p.DeadlineUS}
@@ -56,22 +59,28 @@ func OptimizeContinuous(p Params, vr VRange) (*ContinuousSolution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := vr.Validate(); err != nil {
+		return nil, err
+	}
 	fLo, fHi := vr.FLo(), vr.FHi()
 	if t := p.ExecTimeUS(fHi); t > p.DeadlineUS {
 		return nil, &ErrDeadlineInfeasible{NeedUS: t, HaveUS: p.DeadlineUS}
 	}
 
-	energyAt := func(f1 float64) (float64, float64) { // returns (E, f2)
-		e1, t1 := regionOne(p, vr, f1)
-		if math.IsInf(t1, 1) {
+	// energyAt returns (E, f2). It inverts f1 only once the deadline check
+	// shows the point is feasible.
+	r1 := p.R1()
+	energyAt := func(f1 float64) (float64, float64) {
+		if f1 <= 0 {
 			return math.Inf(1), 0
 		}
-		rem := p.DeadlineUS - t1
+		rem := p.DeadlineUS - regionOneTime(p, f1)
 		if p.NDependent == 0 {
 			if rem < 0 {
 				return math.Inf(1), 0
 			}
-			return e1, f1
+			v1 := vr.Scaling.Voltage(f1)
+			return r1 * v1 * v1, f1
 		}
 		if rem <= 0 {
 			return math.Inf(1), 0
@@ -83,6 +92,8 @@ func OptimizeContinuous(p Params, vr VRange) (*ContinuousSolution, error) {
 		if f2 < fLo {
 			f2 = fLo // extra slack: idle (gated) after finishing early
 		}
+		v1 := vr.Scaling.Voltage(f1)
+		e1 := r1 * v1 * v1
 		v2 := vr.Scaling.Voltage(f2)
 		return e1 + p.NDependent*v2*v2, f2
 	}
@@ -108,15 +119,19 @@ func OptimizeContinuous(p Params, vr VRange) (*ContinuousSolution, error) {
 	a, b := lo, hi
 	c := b - phi*(b-a)
 	d := a + phi*(b-a)
+	ec, _ := energyAt(c)
+	ed, _ := energyAt(d)
 	for i := 0; i < 120; i++ {
-		ec, _ := energyAt(c)
-		ed, _ := energyAt(d)
+		// The surviving interior point keeps its energy; only the new one
+		// is evaluated.
 		if ec < ed {
-			b, d = d, c
+			b, d, ed = d, c, ec
 			c = b - phi*(b-a)
+			ec, _ = energyAt(c)
 		} else {
-			a, c = c, d
+			a, c, ec = c, d, ed
 			d = a + phi*(b-a)
+			ed, _ = energyAt(d)
 		}
 	}
 	f1 := (a + b) / 2
@@ -143,10 +158,14 @@ func regionOne(p Params, vr VRange, f1 float64) (energyVC, timeUS float64) {
 	if f1 <= 0 {
 		return math.Inf(1), math.Inf(1)
 	}
-	r1 := p.R1()
 	v1 := vr.Scaling.Voltage(f1)
-	t1 := math.Max(p.TInvariant+p.NCache/f1, p.NOverlap/f1)
-	return r1 * v1 * v1, t1
+	return p.R1() * v1 * v1, regionOneTime(p, f1)
+}
+
+// regionOneTime returns the overlapped region's wall time at frequency
+// f1 > 0.
+func regionOneTime(p Params, f1 float64) float64 {
+	return math.Max(p.TInvariant+p.NCache/f1, p.NOverlap/f1)
 }
 
 // classify labels the regime the optimum landed in. An optimum pinned on the
@@ -197,7 +216,7 @@ func EnergyVsV1(p Params, vr VRange, v1s []float64) []float64 {
 	fLo, fHi := vr.FLo(), vr.FHi()
 	for i, v1 := range v1s {
 		f1 := vr.Scaling.Freq(v1)
-		if f1 < fLo || f1 > fHi*(1+1e-9) {
+		if !(f1 >= fLo && f1 <= fHi*(1+1e-9)) { // also a NaN v1
 			out[i] = math.Inf(1)
 			continue
 		}
@@ -216,7 +235,7 @@ func EnergyVsV1(p Params, vr VRange, v1s []float64) []float64 {
 			continue
 		}
 		f2 := p.NDependent / rem
-		if f2 > fHi*(1+1e-9) {
+		if !(f2 <= fHi*(1+1e-9)) { // also a NaN parameter
 			out[i] = math.Inf(1)
 			continue
 		}

@@ -143,6 +143,9 @@ func BaselineDiscrete(p Params, ms *volt.ModeSet) (mode int, energyVC float64, o
 // case: 1 − E_opt/E_baseline. This is the quantity plotted in Figures 9–11
 // and tabulated in Table 1.
 func SavingsDiscrete(p Params, ms *volt.ModeSet) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
 	_, base, ok := BaselineDiscrete(p, ms)
 	if !ok {
 		return 0, &ErrDeadlineInfeasible{NeedUS: p.ExecTimeUS(ms.Max().F), HaveUS: p.DeadlineUS}

@@ -72,11 +72,11 @@ func validateJobs(jobs []Job) error {
 		return fmt.Errorf("analytic: no jobs")
 	}
 	for i, j := range jobs {
-		if j.Cycles < 0 || math.IsNaN(j.Cycles) {
+		if !(j.Cycles >= 0) || math.IsInf(j.Cycles, 1) {
 			return fmt.Errorf("analytic: job %d has invalid cycle demand %v", i, j.Cycles)
 		}
-		if j.ReleaseUS < 0 || j.DeadlineUS <= j.ReleaseUS {
-			return fmt.Errorf("analytic: job %d has empty window [%v, %v]", i, j.ReleaseUS, j.DeadlineUS)
+		if !(j.ReleaseUS >= 0 && j.DeadlineUS > j.ReleaseUS) || math.IsInf(j.DeadlineUS, 1) {
+			return fmt.Errorf("analytic: job %d has empty or unbounded window [%v, %v]", i, j.ReleaseUS, j.DeadlineUS)
 		}
 	}
 	return nil
@@ -88,6 +88,9 @@ func validateJobs(jobs []Job) error {
 // intensity exceeds the fastest frequency of the range.
 func OptimizeContinuousExact(jobs []Job, vr VRange) (*ExactSolution, error) {
 	if err := validateJobs(jobs); err != nil {
+		return nil, err
+	}
+	if err := vr.Validate(); err != nil {
 		return nil, err
 	}
 	fLo, fHi := vr.FLo(), vr.FHi()

@@ -32,6 +32,10 @@ func TestLYYValidation(t *testing.T) {
 		{"empty window", []Job{{ReleaseUS: 10, DeadlineUS: 10, Cycles: 1}}},
 		{"inverted window", []Job{{ReleaseUS: 10, DeadlineUS: 5, Cycles: 1}}},
 		{"negative release", []Job{{ReleaseUS: -1, DeadlineUS: 5, Cycles: 1}}},
+		{"infinite cycles", []Job{{ReleaseUS: 0, DeadlineUS: 10, Cycles: math.Inf(1)}}},
+		{"nan release", []Job{{ReleaseUS: math.NaN(), DeadlineUS: 10, Cycles: 1}}},
+		{"nan deadline", []Job{{ReleaseUS: 0, DeadlineUS: math.NaN(), Cycles: 1}}},
+		{"unbounded window", []Job{{ReleaseUS: 0, DeadlineUS: math.Inf(1), Cycles: 1}, {ReleaseUS: 0, DeadlineUS: 10, Cycles: 1}}},
 	}
 	for _, tc := range cases {
 		if _, err := OptimizeContinuousExact(tc.jobs, vr); err == nil {

@@ -47,8 +47,14 @@ type Params struct {
 	DeadlineUS float64
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors: a NaN or infinite field, a negative
+// one, or a deadline that is not positive.
 func (p Params) Validate() error {
+	for _, x := range [...]float64{p.NOverlap, p.NDependent, p.NCache, p.TInvariant, p.DeadlineUS} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("analytic: non-finite parameter: %+v", p)
+		}
+	}
 	if p.NOverlap < 0 || p.NDependent < 0 || p.NCache < 0 || p.TInvariant < 0 {
 		return fmt.Errorf("analytic: negative parameter: %+v", p)
 	}
@@ -124,6 +130,22 @@ type VRange struct {
 // [0.7 V, 1.65 V] under the default scaling law.
 func DefaultVRange() VRange {
 	return VRange{Lo: 0.7, Hi: 1.65, Scaling: volt.DefaultScaling()}
+}
+
+// Validate reports a range the optimizers cannot search: a NaN or infinite
+// bound, Lo ≥ Hi, or Hi above volt.MaxVoltage, the highest voltage whose
+// frequency Scaling.Voltage is sure to invert.
+func (vr VRange) Validate() error {
+	if math.IsNaN(vr.Lo) || math.IsInf(vr.Lo, 0) || math.IsNaN(vr.Hi) || math.IsInf(vr.Hi, 0) {
+		return fmt.Errorf("analytic: non-finite voltage range [%v, %v]", vr.Lo, vr.Hi)
+	}
+	if vr.Lo >= vr.Hi {
+		return fmt.Errorf("analytic: empty voltage range [%v, %v]", vr.Lo, vr.Hi)
+	}
+	if vr.Hi > volt.MaxVoltage {
+		return fmt.Errorf("analytic: voltage range top %v V exceeds %v V", vr.Hi, volt.MaxVoltage)
+	}
+	return nil
 }
 
 // FLo returns the frequency at the low end of the range.

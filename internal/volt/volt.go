@@ -69,12 +69,26 @@ func (s Scaling) Freq(v float64) float64 {
 	return s.K * s.freqUnit(v)
 }
 
+// MaxVoltage is the highest supply voltage whose frequency Voltage is sure to
+// invert. Voltage's bracket doubling first reaches the root below
+// 2·MaxVoltage; it gives up only past 4·MaxVoltage, which leaves room for
+// one more doubling when rounding, or a frequency a hair above
+// Freq(MaxVoltage), needs it.
+const MaxVoltage = 2.5e5
+
 // Voltage returns the minimum supply voltage (in volts) at which the device
-// can run at frequency f MHz. It inverts Freq numerically by bisection.
-// Voltage panics if f is negative and returns the threshold voltage for f = 0.
+// can run at frequency f MHz: the midpoint of an 80-step bisection of Freq
+// over [Vt, hi], where hi starts at Vt+1 and doubles until Freq(hi) ≥ f.
+// The result is exactly that bisection's, but most comparisons
+// Freq(mid) < f are decided without evaluating Freq: the bisection stops
+// once the bracket holds two adjacent floats, and a window certified around
+// a Newton estimate of the root decides every midpoint outside it (see
+// DESIGN.md, "Voltage inversion"). Voltage returns the threshold voltage
+// for f = 0; it panics if f is negative or NaN, or unattainable below
+// 4·MaxVoltage.
 func (s Scaling) Voltage(f float64) float64 {
-	if f < 0 {
-		panic(fmt.Sprintf("volt: negative frequency %v", f))
+	if !(f >= 0) {
+		panic(fmt.Sprintf("volt: invalid frequency %v", f))
 	}
 	if f == 0 {
 		return s.Vt
@@ -82,19 +96,76 @@ func (s Scaling) Voltage(f float64) float64 {
 	lo, hi := s.Vt, s.Vt+1
 	for s.Freq(hi) < f {
 		hi *= 2
-		if hi > 1e6 {
+		if hi > 4*MaxVoltage {
 			panic(fmt.Sprintf("volt: frequency %v MHz unattainable", f))
 		}
 	}
+	a, b := s.window(f, hi)
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
-		if s.Freq(mid) < f {
+		if mid == lo || mid == hi {
+			// Freq(lo) < f ≤ Freq(hi): every remaining step keeps the bracket.
+			break
+		}
+		if mid < a || mid <= b && s.Freq(mid) < f {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// Certified-window constants: the window's half-width relative to the root
+// estimate, and the relative margin by which Freq must clear f at its
+// edges. The margin is about 900 units of roundoff (2^-53), several times
+// the worst rounding error of Freq where the window is used (see
+// DESIGN.md).
+const (
+	windowWidth = 4e-13
+	windowClear = 1e-13
+)
+
+// window returns [a, b] such that, for every midpoint the bisection toward
+// f can visit, Freq(mid) < f when mid < a and Freq(mid) ≥ f when mid > b.
+// It needs a law that increases in v (K > 0, A ≥ 1, Vt ≥ 0) with Freq's
+// rounding error bounded (A ≤ 8, f and the window clear of the float
+// range's ends), and Freq evaluated at a and b clearing f by windowClear.
+// Otherwise it returns [-Inf, +Inf], and every midpoint is evaluated.
+func (s Scaling) window(f, hi float64) (a, b float64) {
+	none, all := math.Inf(-1), math.Inf(1)
+	if !(s.K > 0 && s.A >= 1 && s.A <= 8 && s.Vt >= 0 && f >= 0x1p-900) {
+		return none, all
+	}
+	v, ok := s.newtonRoot(f, hi)
+	if !ok {
+		return none, all
+	}
+	a, b = v*(1-windowWidth), v*(1+windowWidth)
+	if !(a-s.Vt >= 0x1p-64 && s.Freq(a) <= f*(1-windowClear) && s.Freq(b) >= f*(1+windowClear)) {
+		return none, all
+	}
+	return a, b
+}
+
+// newtonRoot estimates the root of g(v) = K·(v−Vt)^A − f·v by Newton's
+// method from v ≥ the root. g is convex for A ≥ 1, so the iterates fall
+// monotonically onto the root. ok is false if they leave (Vt, ∞) or have
+// not settled to 1e-15·v within 64 steps.
+func (s Scaling) newtonRoot(f, v float64) (root float64, ok bool) {
+	for i := 0; i < 64; i++ {
+		d := v - s.Vt
+		if !(d > 0) {
+			return 0, false
+		}
+		w := math.Pow(d, s.A-1) // a Sqrt at the paper's A = 1.5
+		step := (s.K*d*w - f*v) / (s.K*s.A*w - f)
+		v -= step
+		if math.Abs(step) <= 1e-15*v {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // Mode is one discrete DVS operating point: a supply voltage paired with the

@@ -68,12 +68,16 @@ func TestVoltageZeroAndPanic(t *testing.T) {
 	if v := s.Voltage(0); v != s.Vt {
 		t.Errorf("Voltage(0) = %v, want threshold %v", v, s.Vt)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Voltage(-1) did not panic")
-		}
-	}()
-	s.Voltage(-1)
+	for _, f := range []float64{-1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Voltage(%v) did not panic", f)
+				}
+			}()
+			s.Voltage(f)
+		}()
+	}
 }
 
 func TestXScale3(t *testing.T) {
