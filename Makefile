@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test test-race vet bench bench-all bench-history fuzz-smoke ci
 
@@ -29,12 +30,14 @@ vet:
 # internal/sim, where that test-only oracle lives), the optimization
 # server under concurrent load (cold store vs warm), the multi-core
 # task-graph solve with serial-vs-parallel schedule execution, and the
-# sharded-store scenario matrix (binary vs JSON warm reads, zero-copy mmap
-# vs copying reads, replay over a live mapping, batched vs plain puts, pooled
-# replay allocations). bench-all runs everything.
+# sharded-store scenario matrix (a benchmark of internal/pipeline: binary vs
+# JSON warm reads, zero-copy mmap vs copying reads, replay over a live
+# mapping, batched vs plain puts, pooled replay allocations). bench-all runs
+# everything.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve|BenchmarkStoreScenarioMatrix)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve)$$' -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkSimCompiledKernel$$' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench '^BenchmarkStoreScenarioMatrix$$' -benchmem ./internal/pipeline
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
@@ -64,8 +67,10 @@ fuzz-smoke:
 # -history additionally tracks the gated metrics across runs in
 # BENCH_history.jsonl (see the history target). The benchmark harness in
 # perfbench/ is its own module built against this one, so it is vetted and
-# tested too: a change that removes API the benchmark uses fails here.
+# tested too: a change that removes API the benchmark uses fails here. The
+# first step fails when any Go file is not gofmt-formatted.
 ci:
+	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...

@@ -1,11 +1,11 @@
 // Command dvs-cache inspects and garbage-collects the artifact store the
 // other dvs-* tools share. Without -budget it reports the store's on-disk
-// footprint per artifact kind; with -budget it runs Store.Compact, evicting
-// stale temp files, JSON duplicates of binary artifacts, and then
-// least-recently-used artifacts until the store fits the budget. Eviction is
-// unlink-based and safe while other processes read (or serve from) the same
-// store: a reader holding an artifact open keeps it readable, a reader that
-// misses recomputes.
+// footprint per artifact kind; with -budget it runs Store.Compact, removing
+// stale temp files and then evicting least-recently-used artifacts until the
+// store fits the budget. An artifact's last use is its file mtime, which a
+// write or a disk hit sets. Eviction is unlink-based and safe while other
+// processes read (or serve from) the same store: a reader holding an
+// artifact open keeps it readable, a reader that misses recomputes.
 //
 // Usage:
 //
@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -86,15 +87,15 @@ func main() {
 		fmt.Printf("  %-10s %6d artifact(s)  %s\n", k, ks.Artifacts, fmtSize(ks.Bytes))
 	}
 	if compacted != nil {
-		fmt.Printf("compacted to budget %s: %s -> %s (evicted %d artifact(s), %s; %d JSON twin(s), %d stale temp(s))\n",
+		fmt.Printf("compacted to budget %s: %s -> %s (evicted %d artifact(s), %s; %d stale temp(s))\n",
 			fmtSize(compacted.BudgetBytes), fmtSize(compacted.BytesBefore), fmtSize(compacted.BytesAfter),
-			compacted.EvictedArtifacts, fmtSize(compacted.EvictedBytes),
-			compacted.EvictedJSONTwins, compacted.RemovedTemps)
+			compacted.EvictedArtifacts, fmtSize(compacted.EvictedBytes), compacted.RemovedTemps)
 	}
 }
 
 // parseSize parses a byte count with an optional binary or decimal suffix:
-// "1048576", "256KiB", "1.5GiB", "2GB", "512M".
+// "1048576", "256KiB", "1.5GiB", "2GB", "512M". The count must be finite,
+// non-negative and below 2^63 bytes, the range of an int64.
 func parseSize(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	mult := int64(1)
@@ -115,10 +116,14 @@ func parseSize(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
+	if err != nil || math.IsNaN(v) || v < 0 {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
-	return int64(v * float64(mult)), nil
+	n := v * float64(mult)
+	if n >= 1<<63 {
+		return 0, fmt.Errorf("size %q out of range: must be below 2^63 bytes", s)
+	}
+	return int64(n), nil
 }
 
 // fmtSize renders bytes with a binary suffix, one decimal.

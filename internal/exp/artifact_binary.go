@@ -8,10 +8,9 @@ import (
 	"ctdvs/internal/sim"
 )
 
-// Binary codecs for the solve and graphsolve artifacts. Layouts mirror the
-// JSON structs field for field (parity-tested), including the embedded
-// schedule file, so a warm sweep's solve reads skip JSON tokenization. The
-// stages keep their JSON codecs as the versioned fallback.
+// Binary codecs for the solve and graphsolve artifacts, the stages' only
+// on-disk codecs. Layouts follow the artifact structs field for field
+// (round-trip tested), including the embedded schedule file.
 
 func putSolverStats(w *pipeline.BinWriter, s solverStatsJSON) {
 	w.Varint(int64(s.Status))

@@ -57,10 +57,10 @@ func randScheduleFile(rng *rand.Rand) *schedfile.File {
 	return f
 }
 
-// TestSolveArtifactBinaryParity is the parity property over randomly drawn
-// solve artifacts with the shapes real solves produce: the binary round trip
-// must equal the JSON round trip value for value, and re-encode to identical
-// bytes.
+// TestSolveArtifactBinaryParity is the round-trip property over randomly
+// drawn solve artifacts with the shapes real solves produce: the binary
+// codec, the stage's only one, must decode to the artifact value for value
+// and re-encode to identical bytes.
 func TestSolveArtifactBinaryParity(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,30 +78,19 @@ func TestSolveArtifactBinaryParity(t *testing.T) {
 			a.TotalEdges = a.IndependentEdges + rng.Intn(100)
 		}
 
-		jdata, err := solveStage.Encode(a)
+		bdata, err := solveStage.EncodeBinary(a)
+		if err != nil || !pipeline.IsBinaryArtifact(bdata) {
+			return false
+		}
+		fromBin, err := solveStage.DecodeBinary(bdata)
 		if err != nil {
 			return false
 		}
-		bdata, err := encodeSolveBinary(a)
-		if err != nil {
+		if !reflect.DeepEqual(a, fromBin) {
+			t.Logf("seed %d:\nwant   %+v\nbinary %+v", seed, a, fromBin)
 			return false
 		}
-		if !pipeline.IsBinaryArtifact(bdata) {
-			return false
-		}
-		fromJSON, err := solveStage.Decode(jdata)
-		if err != nil {
-			return false
-		}
-		fromBin, err := decodeSolveBinary(bdata)
-		if err != nil {
-			return false
-		}
-		if !reflect.DeepEqual(fromJSON, fromBin) {
-			t.Logf("seed %d:\njson   %+v\nbinary %+v", seed, fromJSON, fromBin)
-			return false
-		}
-		bdata2, err := encodeSolveBinary(fromBin)
+		bdata2, err := solveStage.EncodeBinary(fromBin)
 		return err == nil && string(bdata) == string(bdata2)
 	}, &quick.Config{MaxCount: 80})
 	if err != nil {
@@ -109,7 +98,7 @@ func TestSolveArtifactBinaryParity(t *testing.T) {
 	}
 }
 
-// TestGraphSolveArtifactBinaryParity is the same parity property for
+// TestGraphSolveArtifactBinaryParity is the same round-trip property for
 // task-graph solve artifacts.
 func TestGraphSolveArtifactBinaryParity(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
@@ -135,27 +124,19 @@ func TestGraphSolveArtifactBinaryParity(t *testing.T) {
 			a.PredictedMakespanUS = rng.Float64() * 1e5
 		}
 
-		jdata, err := graphSolveStage.Encode(a)
+		bdata, err := graphSolveStage.EncodeBinary(a)
+		if err != nil || !pipeline.IsBinaryArtifact(bdata) {
+			return false
+		}
+		fromBin, err := graphSolveStage.DecodeBinary(bdata)
 		if err != nil {
 			return false
 		}
-		bdata, err := encodeGraphSolveBinary(a)
-		if err != nil {
+		if !reflect.DeepEqual(a, fromBin) {
+			t.Logf("seed %d:\nwant   %+v\nbinary %+v", seed, a, fromBin)
 			return false
 		}
-		fromJSON, err := graphSolveStage.Decode(jdata)
-		if err != nil {
-			return false
-		}
-		fromBin, err := decodeGraphSolveBinary(bdata)
-		if err != nil {
-			return false
-		}
-		if !reflect.DeepEqual(fromJSON, fromBin) {
-			t.Logf("seed %d:\njson   %+v\nbinary %+v", seed, fromJSON, fromBin)
-			return false
-		}
-		bdata2, err := encodeGraphSolveBinary(fromBin)
+		bdata2, err := graphSolveStage.EncodeBinary(fromBin)
 		return err == nil && string(bdata) == string(bdata2)
 	}, &quick.Config{MaxCount: 80})
 	if err != nil {

@@ -243,100 +243,124 @@ func TestInfeasibleSolveCached(t *testing.T) {
 }
 
 // TestWarmRunAfterCompaction is the eviction-safety acceptance property: a
-// store compacted under a budget that only sheds JSON twins of binary
-// artifacts still serves a fully warm sweep — AllHits, zero recomputes,
-// bit-identical output.
+// store compacted down to the artifacts a warm sweep served still serves a
+// fully warm sweep — AllHits, zero recomputes, bit-identical output. The
+// planted, never-served copies go, and so do the recordings, which a warm
+// sweep never needs. Every file is backdated first, the planted ones left
+// newer than the real ones, so the served artifacts survive only because
+// the sweep's disk hits marked them used.
 func TestWarmRunAfterCompaction(t *testing.T) {
-	jsonDir, binDir := t.TempDir(), t.TempDir()
-
-	// Cold run against a JSON-format store, then the same run against a
-	// binary store, then overlay the binary artifacts onto the JSON tree:
-	// every key now has a .bin plus its .json twin, the shape a fleet cache
-	// grows while migrating codecs.
-	jsonStore, err := pipeline.OpenWithFormat(jsonDir, pipeline.FormatJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := testConfig()
-	cold.Pipeline = pipeline.NewRunner(jsonStore)
+	dir := t.TempDir()
+	cold := cachedConfig(t, dir)
 	coldRows, err := DeadlineSweep(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldOut := renderSweep(t, zeroSolveTimes(coldRows))
+	coldOut := renderSweep(t, coldRows)
 
-	binCfg := cachedConfig(t, binDir)
-	if _, err := DeadlineSweep(binCfg); err != nil {
-		t.Fatal(err)
+	type file struct {
+		kind pipeline.Kind
+		key  pipeline.Key
+		f    pipeline.Format
 	}
-	twins := 0
-	err = filepath.WalkDir(binDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".bin") {
+	var real []file
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
 			return err
 		}
-		rel, err := filepath.Rel(binDir, path)
-		if err != nil {
-			return err
+		f := pipeline.FormatJSON
+		if filepath.Ext(path) == ".bin" {
+			f = pipeline.FormatBinary
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		twins++
-		return os.WriteFile(filepath.Join(jsonDir, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if twins == 0 {
-		t.Fatal("binary run produced no binary artifacts")
-	}
-
-	// Budget: everything except the JSON twins. Compact must satisfy it by
-	// evicting exactly those, leaving every binary artifact in place.
-	store, err := pipeline.Open(jsonDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := store.DiskStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var twinBytes int64
-	err = filepath.WalkDir(jsonDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
-		if info, err := os.Stat(strings.TrimSuffix(path, ".json") + ".bin"); err == nil && info != nil {
-			if fi, err := d.Info(); err == nil {
-				twinBytes += fi.Size()
-			}
-		}
+		kind := pipeline.Kind(filepath.Base(filepath.Dir(filepath.Dir(path))))
+		real = append(real, file{kind, pipeline.Key(strings.TrimSuffix(d.Name(), filepath.Ext(path))), f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Compact(ds.TotalBytes - twinBytes)
+	if len(real) == 0 {
+		t.Fatal("cold run stored no artifacts")
+	}
+
+	store, err := pipeline.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.EvictedJSONTwins == 0 || st.EvictedJSONTwins != st.EvictedArtifacts {
-		t.Fatalf("compact stats = %+v, want only JSON twins evicted", st)
+	backdate := func(path string, age time.Duration) {
+		mt := time.Now().Add(-age)
+		if err := os.Chtimes(path, mt, mt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.BytesAfter > st.BudgetBytes {
-		t.Fatalf("compact left the store over budget: %+v", st)
+	var planted []string
+	for i, a := range real {
+		path := store.Path(a.kind, a.key, a.f)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backdate(path, 48*time.Hour)
+		key := pipeline.NewKey(a.kind).Int("planted", int64(i)).Sum()
+		if err := store.Put(a.kind, key, data, a.f); err != nil {
+			t.Fatal(err)
+		}
+		p := store.Path(a.kind, key, a.f)
+		backdate(p, 24*time.Hour)
+		planted = append(planted, p)
 	}
 
-	// The compacted store serves a fully warm sweep from the surviving
-	// binary artifacts: AllHits for every retained kind, identical output.
-	warm := testConfig()
-	warm.Pipeline = pipeline.NewRunner(store)
+	// A warm sweep serves what it needs from disk, marking it used.
+	served := testConfig()
+	served.Pipeline = pipeline.NewRunner(store)
+	if _, err := DeadlineSweep(served); err != nil {
+		t.Fatal(err)
+	}
+	man := served.Pipeline.Manifest()
+	if !man.AllHits() {
+		t.Fatal("first warm sweep recomputed stages")
+	}
+	var hits []string
+	var budget int64
+	for _, r := range man.Records() {
+		if r.DiskHits == 0 {
+			continue
+		}
+		info, err := os.Stat(r.Artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits = append(hits, r.Artifact)
+		budget += info.Size()
+	}
+
+	// Budget: exactly the served artifacts, compacted by a second store over
+	// the directory.
+	compactor, err := pipeline.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := compactor.Compact(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(real) + len(planted) - len(hits); st.EvictedArtifacts != want || st.BytesAfter != budget {
+		t.Fatalf("compact stats = %+v, want %d evictions down to %d bytes", st, want, budget)
+	}
+	for _, p := range planted {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("planted artifact %s survived", filepath.Base(p))
+		}
+	}
+
+	// The compacted store serves a fully warm sweep: AllHits for every
+	// retained kind, identical output.
+	warm := cachedConfig(t, dir)
 	warmRows, err := DeadlineSweep(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	man := warm.Pipeline.Manifest()
+	man = warm.Pipeline.Manifest()
 	if !man.AllHits() {
 		for _, r := range man.Records() {
 			if r.Misses > 0 {
@@ -344,18 +368,7 @@ func TestWarmRunAfterCompaction(t *testing.T) {
 			}
 		}
 	}
-	if warmOut := renderSweep(t, zeroSolveTimes(warmRows)); !bytes.Equal(coldOut, warmOut) {
+	if warmOut := renderSweep(t, warmRows); !bytes.Equal(coldOut, warmOut) {
 		t.Error("post-compact warm output differs from the cold run")
 	}
-}
-
-// zeroSolveTimes strips the one nondeterministic column (solver wall time,
-// which the two independent cold runs measure differently) so the remaining
-// output can be compared bit for bit.
-func zeroSolveTimes(rows []DeadlineSweepRow) []DeadlineSweepRow {
-	out := append([]DeadlineSweepRow(nil), rows...)
-	for i := range out {
-		out[i].SolveTime = [5]time.Duration{}
-	}
-	return out
 }

@@ -179,11 +179,7 @@ func (c *Config) ProfileCtx(ctx context.Context, bench string, input int, levels
 		return nil, err
 	}
 	st := pipeline.Stage[*profile.Profile]{
-		Kind:   pipeline.StageProfile,
-		Encode: profile.Encode,
-		Decode: func(data []byte) (*profile.Profile, error) {
-			return profile.Decode(data, spec.Program, spec.Inputs[input], ms)
-		},
+		Kind:         pipeline.StageProfile,
 		EncodeBinary: profile.EncodeBinary,
 		DecodeBinary: func(data []byte) (*profile.Profile, error) {
 			return profile.DecodeBinary(data, spec.Program, spec.Inputs[input], ms)
@@ -215,11 +211,7 @@ func (c *Config) ProfileCtx(ctx context.Context, bench string, input int, levels
 // different level count replays the cached stream instead of simulating.
 func (c *Config) recording(ctx context.Context, spec *workloads.Spec, bench string, input int) (*sim.Recording, error) {
 	st := pipeline.Stage[*sim.Recording]{
-		Kind:   pipeline.StageRecording,
-		Encode: schedfile.EncodeRecording,
-		Decode: func(data []byte) (*sim.Recording, error) {
-			return schedfile.DecodeRecording(data, spec.Program, spec.Inputs[input], c.Machine.Config())
-		},
+		Kind:         pipeline.StageRecording,
 		EncodeBinary: schedfile.EncodeRecordingBinary,
 		DecodeBinary: func(data []byte) (*sim.Recording, error) {
 			return schedfile.DecodeRecordingBinary(data, spec.Program, spec.Inputs[input], c.Machine.Config())

@@ -159,19 +159,10 @@ type graphSolveArtifact struct {
 
 const graphSolveArtifactVersion = 2
 
+// graphSolveStage stores task-graph solve artifacts in their binary codec
+// only.
 var graphSolveStage = pipeline.Stage[*graphSolveArtifact]{
-	Kind:   pipeline.StageGraphSolve,
-	Encode: func(a *graphSolveArtifact) ([]byte, error) { return json.Marshal(a) },
-	Decode: func(data []byte) (*graphSolveArtifact, error) {
-		var a graphSolveArtifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, err
-		}
-		if a.Version != graphSolveArtifactVersion {
-			return nil, fmt.Errorf("exp: graph solve artifact version %d, want %d", a.Version, graphSolveArtifactVersion)
-		}
-		return &a, nil
-	},
+	Kind:         pipeline.StageGraphSolve,
 	EncodeBinary: encodeGraphSolveBinary,
 	DecodeBinary: decodeGraphSolveBinary,
 }

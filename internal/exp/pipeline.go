@@ -88,19 +88,9 @@ type solveArtifact struct {
 
 const solveArtifactVersion = 2
 
+// solveStage stores solve artifacts in their binary codec only.
 var solveStage = pipeline.Stage[*solveArtifact]{
-	Kind:   pipeline.StageSolve,
-	Encode: func(a *solveArtifact) ([]byte, error) { return json.Marshal(a) },
-	Decode: func(data []byte) (*solveArtifact, error) {
-		var a solveArtifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, err
-		}
-		if a.Version != solveArtifactVersion {
-			return nil, fmt.Errorf("exp: solve artifact version %d, want %d", a.Version, solveArtifactVersion)
-		}
-		return &a, nil
-	},
+	Kind:         pipeline.StageSolve,
 	EncodeBinary: encodeSolveBinary,
 	DecodeBinary: decodeSolveBinary,
 }

@@ -164,7 +164,7 @@ func TestWarmMatchesCold(t *testing.T) {
 			if warm.Warm {
 				warmUsed++
 			}
-			rel := math.Abs(cold.Objective - warm.Objective) / math.Max(1, math.Abs(cold.Objective))
+			rel := math.Abs(cold.Objective-warm.Objective) / math.Max(1, math.Abs(cold.Objective))
 			if rel > tol {
 				t.Fatalf("trial %d step %d: objective cold=%v warm=%v",
 					trial, step, cold.Objective, warm.Objective)

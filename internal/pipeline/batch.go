@@ -31,15 +31,16 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	return c
 }
 
-// EnableWriteBatching switches the store's Puts to the write coalescer:
-// solve-storm artifacts accumulate in memory and flush as one batch per
-// shard — every artifact still lands via its own temp file + rename (the
-// crash-safety protocol is unchanged: an artifact is fully present or
-// absent, never torn), but the directory fsyncs that make the batch durable
-// are paid once per touched shard instead of once per artifact. Reads
-// through this store see pending artifacts immediately; other processes see
-// them within MaxDelay. Call Flush or Close to force everything to disk
-// (Close also happens via cli.App teardown).
+// EnableWriteBatching switches the store's Puts to the write batcher: a Put
+// buffers the artifact in memory and returns, and the batch lands when it
+// fills (MaxPending) or its deadline (MaxDelay) passes, normally on the
+// timer goroutine, so artifact writes leave the caller's path. Every
+// artifact still lands via its own temp file + rename (the crash-safety
+// protocol is unchanged: an artifact is fully present or absent, never
+// torn), and each batch ends with one fsync per touched shard directory.
+// Reads through this store see pending artifacts immediately; other
+// processes see them within MaxDelay. Call Flush or Close to force
+// everything to disk (Close also happens via cli.App teardown).
 func (s *Store) EnableWriteBatching(cfg BatchConfig) {
 	if s.batch != nil {
 		return
@@ -59,17 +60,17 @@ func (s *Store) Flush() error {
 }
 
 // Close flushes pending batched writes, waits for any background flush still
-// writing, stops the batcher's timer, and persists the access-time sidecar
-// index Compact evicts by. The store remains usable afterwards (later Puts
-// write through immediately).
+// writing, and stops the batcher's timer. It writes nothing the run did not
+// put, so a run that only read closes cleanly even over a store it cannot
+// write. The store remains usable afterwards (later Puts write through
+// immediately).
 func (s *Store) Close() error {
-	var errs []error
-	if b := s.batch; b != nil {
-		errs = append(errs, b.close())
-		s.batch = nil
+	b := s.batch
+	if b == nil {
+		return nil
 	}
-	errs = append(errs, s.SaveAtimeIndex())
-	return errors.Join(errs...)
+	s.batch = nil
+	return b.close()
 }
 
 // pendingPut is one buffered artifact awaiting its batch flush.
@@ -105,28 +106,25 @@ func pendingKey(kind Kind, key Key, f Format) string {
 	return string(kind) + "/" + string(key) + f.ext()
 }
 
-// getPending returns a buffered artifact's bytes, preferring binary like the
-// disk paths. Safe on a nil batcher. The returned slice is the buffered one;
-// callers copy.
-func (b *writeBatcher) getPending(kind Kind, key Key) ([]byte, Format, bool) {
+// getPending returns a buffered artifact's bytes. Safe on a nil batcher.
+// The returned slice is the buffered one; callers copy.
+func (b *writeBatcher) getPending(kind Kind, key Key, f Format) ([]byte, bool) {
 	if b == nil {
-		return nil, FormatJSON, false
+		return nil, false
 	}
+	pk := pendingKey(kind, key, f)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		pk := pendingKey(kind, key, f)
-		if p, ok := b.pending[pk]; ok {
-			return p.data, f, true
-		}
-		// Newest batch first: it holds the latest Put of the key.
-		for i := len(b.writing) - 1; i >= 0; i-- {
-			if p, ok := (*b.writing[i])[pk]; ok {
-				return p.data, f, true
-			}
+	if p, ok := b.pending[pk]; ok {
+		return p.data, true
+	}
+	// Newest batch first: it holds the latest Put of the key.
+	for i := len(b.writing) - 1; i >= 0; i-- {
+		if p, ok := (*b.writing[i])[pk]; ok {
+			return p.data, true
 		}
 	}
-	return nil, FormatJSON, false
+	return nil, false
 }
 
 // put buffers one artifact, flushing synchronously when the batch is full
@@ -218,8 +216,8 @@ func (b *writeBatcher) close() error {
 
 // writeBatch lands one batch taken by take: every artifact via the store's
 // usual temp file + rename, then one directory fsync per touched shard so the
-// whole batch's directory entries are durable at a per-batch, not
-// per-artifact, cost. Then the batch leaves writing; with sticky set, its
+// batch's directory entries are durable. Then the batch leaves writing; with
+// sticky set, its
 // error is kept for the next Put/Flush/Close. A nil batch is a no-op.
 func (b *writeBatcher) writeBatch(batch *map[string]pendingPut, sticky bool) error {
 	if batch == nil {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -29,11 +30,11 @@ func TestBatchReadYourWrites(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("buffered artifact reached disk before flush")
 	}
-	if data, f, ok, err := s.Get(StageProfile, key); err != nil || !ok || f != FormatBinary || string(data) != "pending" {
-		t.Fatalf("Get of pending = %q f=%v ok=%v err=%v", data, f, ok, err)
+	if data, ok, err := s.Get(StageProfile, key, FormatBinary); err != nil || !ok || string(data) != "pending" {
+		t.Fatalf("Get of pending = %q ok=%v err=%v", data, ok, err)
 	}
-	if data, f, ok, err := s.getAppend(nil, StageProfile, key); err != nil || !ok || f != FormatBinary || string(data) != "pending" {
-		t.Fatalf("getAppend of pending = %q f=%v ok=%v err=%v", data, f, ok, err)
+	if data, ok, err := s.getAppend(nil, StageProfile, key, FormatBinary); err != nil || !ok || string(data) != "pending" {
+		t.Fatalf("getAppend of pending = %q ok=%v err=%v", data, ok, err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestBatchReadYourWrites(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("flushed artifact missing: %v", err)
 	}
-	if data, _, ok, err := s.Get(StageProfile, key); err != nil || !ok || string(data) != "pending" {
+	if data, ok, err := s.Get(StageProfile, key, FormatBinary); err != nil || !ok || string(data) != "pending" {
 		t.Fatalf("post-flush Get = %q ok=%v err=%v", data, ok, err)
 	}
 }
@@ -140,7 +141,7 @@ func TestBatchLatestWriteWins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if data, _, ok, _ := s.Get(StageProfile, key); !ok || string(data) != "2" {
+	if data, ok, _ := s.Get(StageProfile, key, FormatBinary); !ok || string(data) != "2" {
 		t.Fatalf("pending read = %q ok=%v, want final write", data, ok)
 	}
 	if err := s.Flush(); err != nil {
@@ -176,7 +177,7 @@ func TestBatchConcurrent(t *testing.T) {
 			if err := s.Put(StageProfile, keys[i], payload, FormatBinary); err != nil {
 				t.Error(err)
 			}
-			if data, _, ok, err := s.Get(StageProfile, keys[i]); err != nil || !ok || string(data) != string(payload) {
+			if data, ok, err := s.Get(StageProfile, keys[i], FormatBinary); err != nil || !ok || string(data) != string(payload) {
 				t.Errorf("read-your-write %d failed: %q ok=%v err=%v", i, data, ok, err)
 			}
 			if i%7 == 0 {
@@ -195,5 +196,38 @@ func TestBatchConcurrent(t *testing.T) {
 		if err != nil || string(data) != fmt.Sprintf("artifact-%d", i) {
 			t.Fatalf("artifact %d after Close = %q err=%v", i, data, err)
 		}
+	}
+}
+
+// TestCloseAfterReadOnlyRun: Close writes nothing a run did not put, so a
+// run that only read closes cleanly even when its store can no longer be
+// written — here, because the directory was renamed away.
+func TestCloseAfterReadOnlyRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st := binIntStage(StageProfile)
+	key := testKey("read-only")
+	cold, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(NewRunner(cold), st, key, func() (int, error) { return 4, nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EnableWriteBatching(BatchConfig{})
+	r := NewRunner(s)
+	v, err := Run(r, st, key, func() (int, error) { return -1, nil })
+	if err != nil || v != 4 || !r.Manifest().AllHits() {
+		t.Fatalf("warm read v=%d err=%v records=%+v", v, err, r.Manifest().Records())
+	}
+	if err := os.Rename(dir, dir+"-moved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a read-only run: %v", err)
 	}
 }

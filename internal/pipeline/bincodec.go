@@ -9,12 +9,10 @@ import (
 
 // This file provides the length-prefixed binary artifact framing shared by
 // the large artifact kinds (recordings, profiles, solve results, graph
-// solves). JSON remains the versioned fallback codec — every binary-capable
-// stage keeps its JSON Encode/Decode, the store reads both formats, and the
-// property tests assert the two decode to identical values — but the binary
-// form skips base64 round trips, field-name tokenization and per-field
-// reflection, which is what makes warm fleet-scale sweeps store-bound
-// rather than codec-bound.
+// solves). It is those stages' only on-disk codec: the binary form skips
+// base64 round trips, field-name tokenization and per-field reflection,
+// which is what makes warm fleet-scale sweeps store-bound rather than
+// codec-bound.
 //
 // Framing: every binary artifact opens with the 4-byte magic "CTDB", one
 // format-version byte and one artifact-tag byte, followed by tag-specific
@@ -50,8 +48,8 @@ const (
 )
 
 // IsBinaryArtifact reports whether data opens with the binary artifact magic.
-// The store uses it to route legacy JSON artifacts (which begin with '{') to
-// the JSON decoder regardless of file extension.
+// NewBinReader uses it to reject anything else, such as a JSON artifact
+// (which begins with '{'), before decoding.
 func IsBinaryArtifact(data []byte) bool {
 	return len(data) >= 4 && [4]byte(data[:4]) == binMagic
 }

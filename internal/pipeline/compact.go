@@ -9,14 +9,10 @@ import (
 	"time"
 )
 
-// atimeIndexName is the compact sidecar file holding last-access times, the
-// LRU signal Compact evicts by. It lives beside the kind directories and is
-// never an eviction candidate itself.
-const atimeIndexName = "atime.idx"
-
-// BinTagAtimeIndex frames the sidecar index: uvarint entry count, then per
-// entry a length-prefixed "kind/key" string and a varint unix-seconds atime.
-const BinTagAtimeIndex uint8 = 5
+// retiredSidecar is the access-time index older builds kept beside the kind
+// directories. Access times now live in artifact mtimes, so nothing reads
+// it, and Compact deletes it.
+const retiredSidecar = "atime.idx"
 
 // KindDiskStats is the on-disk footprint of one artifact kind.
 type KindDiskStats struct {
@@ -73,32 +69,42 @@ type CompactStats struct {
 	BytesAfter       int64 `json:"bytes_after"`
 	EvictedArtifacts int   `json:"evicted_artifacts"`
 	EvictedBytes     int64 `json:"evicted_bytes"`
-	EvictedJSONTwins int   `json:"evicted_json_twins"`
 	RemovedTemps     int   `json:"removed_temps"`
 }
 
 // artifact is one store file seen by scan.
 type artifact struct {
-	kind   Kind
-	key    Key
-	format Format
-	path   string
-	size   int64
-	mtime  time.Time
+	kind  Kind
+	path  string
+	size  int64
+	mtime time.Time
 }
 
 // scan walks the store tree, returning every artifact file plus any stale
-// temp files old enough that no live Put can still own them.
+// temp files, in the root or a shard, old enough that no live writer can
+// still own them.
 func (s *Store) scan() ([]artifact, []string, error) {
 	var arts []artifact
 	var staleTemps []string
+	tempCutoff := time.Now().Add(-10 * time.Minute)
+	// temp reports whether the entry is a temp file, and records it when it
+	// is stale.
+	temp := func(dir string, fe os.DirEntry) bool {
+		if !strings.HasPrefix(fe.Name(), ".tmp-") {
+			return false
+		}
+		if info, err := fe.Info(); err == nil && info.ModTime().Before(tempCutoff) {
+			staleTemps = append(staleTemps, filepath.Join(dir, fe.Name()))
+		}
+		return true
+	}
 	kinds, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: scan store: %w", err)
 	}
-	tempCutoff := time.Now().Add(-10 * time.Minute)
 	for _, kd := range kinds {
 		if !kd.IsDir() {
+			temp(s.dir, kd)
 			continue
 		}
 		kind := Kind(kd.Name())
@@ -117,36 +123,21 @@ func (s *Store) scan() ([]artifact, []string, error) {
 				return nil, nil, fmt.Errorf("pipeline: scan %s: %w", kind, err)
 			}
 			for _, fe := range files {
-				if fe.IsDir() {
+				if fe.IsDir() || temp(shardDir, fe) {
 					continue
 				}
 				name := fe.Name()
+				ext := filepath.Ext(name)
+				key := Key(strings.TrimSuffix(name, ext))
+				if (ext != FormatBinary.ext() && ext != FormatJSON.ext()) || key.Validate() != nil {
+					continue
+				}
 				info, err := fe.Info()
 				if err != nil {
 					continue // deleted underneath us: concurrent compaction or writer
 				}
-				if strings.HasPrefix(name, ".tmp-") {
-					if info.ModTime().Before(tempCutoff) {
-						staleTemps = append(staleTemps, filepath.Join(shardDir, name))
-					}
-					continue
-				}
-				var f Format
-				switch {
-				case strings.HasSuffix(name, ".bin"):
-					f = FormatBinary
-				case strings.HasSuffix(name, ".json"):
-					f = FormatJSON
-				default:
-					continue
-				}
-				key := Key(strings.TrimSuffix(name, f.ext()))
-				if key.Validate() != nil {
-					continue
-				}
 				arts = append(arts, artifact{
-					kind: kind, key: key, format: f,
-					path: filepath.Join(shardDir, name),
+					kind: kind, path: filepath.Join(shardDir, name),
 					size: info.Size(), mtime: info.ModTime(),
 				})
 			}
@@ -155,19 +146,18 @@ func (s *Store) scan() ([]artifact, []string, error) {
 	return arts, staleTemps, nil
 }
 
-// Compact enforces a size budget on the store: it removes stale temp files,
-// then — while the tree exceeds budget bytes — evicts JSON-fallback
-// duplicates of binary artifacts first and least-recently-used artifacts
-// after that. Recency is the merge of this process's in-memory access table,
-// the sidecar index previous processes saved, and file mtime as the fallback
-// for artifacts never seen by either.
+// Compact enforces a size budget on the store: it removes stale temp files
+// and the retired access-time sidecar, then — while the tree exceeds budget
+// bytes — evicts artifacts least recently used first. An artifact's mtime
+// is its last use: a Put sets it, and so does the runner when it serves the
+// artifact as a disk hit, so the order is shared by every process over the
+// directory without any index.
 //
 // Compact is safe to run concurrently with readers, including readers in
 // other processes: eviction is plain unlink, and an artifact opened or
 // mmap'd before its unlink stays fully readable through the held descriptor
 // or mapping (POSIX keeps the inode alive), while a reader that loses the
-// race sees a clean miss and recomputes. The surviving entries' access times
-// are rewritten to the sidecar index.
+// race sees a clean miss and recomputes.
 func (s *Store) Compact(budget int64) (CompactStats, error) {
 	if err := s.Flush(); err != nil {
 		return CompactStats{}, err
@@ -182,34 +172,24 @@ func (s *Store) Compact(budget int64) (CompactStats, error) {
 			st.RemovedTemps++
 		}
 	}
+	_ = os.Remove(filepath.Join(s.dir, retiredSidecar)) // absent unless an older build ran here
 	var total int64
-	hasBin := make(map[string]bool)
 	for _, a := range arts {
 		total += a.size
-		if a.format == FormatBinary {
-			hasBin[string(a.kind)+"/"+string(a.key)] = true
-		}
 	}
 	st.BytesBefore = total
 	st.BytesAfter = total
 	if budget <= 0 || total <= budget {
-		return st, s.SaveAtimeIndex()
+		return st, nil
 	}
 
-	atimes := s.mergedAtimes()
-	atime := func(a artifact) int64 {
-		if t, ok := atimes[string(a.kind)+"/"+string(a.key)]; ok {
-			return t
+	sort.Slice(arts, func(i, j int) bool { return arts[i].mtime.Before(arts[j].mtime) })
+	for _, a := range arts {
+		if total <= budget {
+			break
 		}
-		return a.mtime.Unix()
-	}
-	// Two eviction passes over one LRU order: JSON twins of binary
-	// artifacts first (pure disk savings, no recompute cost), then whole
-	// artifacts oldest-first.
-	sort.Slice(arts, func(i, j int) bool { return atime(arts[i]) < atime(arts[j]) })
-	evict := func(a artifact) {
-		if err := os.Remove(a.path); err != nil {
-			return
+		if os.Remove(a.path) != nil {
+			continue
 		}
 		total -= a.size
 		st.EvictedArtifacts++
@@ -217,112 +197,7 @@ func (s *Store) Compact(budget int64) (CompactStats, error) {
 		s.evictedArtifacts.Add(1)
 		s.evictedBytes.Add(a.size)
 	}
-	for _, a := range arts {
-		if total <= budget {
-			break
-		}
-		if a.format == FormatJSON && hasBin[string(a.kind)+"/"+string(a.key)] {
-			evict(a)
-			st.EvictedJSONTwins++
-		}
-	}
-	for _, a := range arts {
-		if total <= budget {
-			break
-		}
-		if a.format == FormatJSON && hasBin[string(a.kind)+"/"+string(a.key)] {
-			continue // already evicted in the twin pass
-		}
-		evict(a)
-	}
 	st.BytesAfter = total
 	s.compactions.Add(1)
-	return st, s.SaveAtimeIndex()
-}
-
-// mergedAtimes merges the sidecar index with the in-memory table (in-memory
-// wins; it is at least as fresh), keyed by "kind/key".
-func (s *Store) mergedAtimes() map[string]int64 {
-	out, _ := s.loadAtimeIndex()
-	if out == nil {
-		out = make(map[string]int64)
-	}
-	t := &s.atimes
-	t.mu.RLock()
-	for kind, km := range t.m {
-		for key, sec := range km {
-			rel := string(kind) + "/" + string(key)
-			if sec > out[rel] {
-				out[rel] = sec
-			}
-		}
-	}
-	t.mu.RUnlock()
-	return out
-}
-
-// loadAtimeIndex reads the sidecar index; a missing or damaged index is an
-// empty one (mtimes then carry the LRU order).
-func (s *Store) loadAtimeIndex() (map[string]int64, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, atimeIndexName))
-	if err != nil {
-		return nil, nil
-	}
-	r, err := NewBinReader(data, BinTagAtimeIndex)
-	if err != nil {
-		return nil, err
-	}
-	n := r.Len()
-	if r.Err() != nil || n > r.Remaining() {
-		return nil, r.Err()
-	}
-	out := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		rel := r.String()
-		sec := r.Varint()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		out[rel] = sec
-	}
-	return out, nil
-}
-
-// SaveAtimeIndex persists the merged access times to the sidecar index,
-// atomically like any artifact. Store.Close calls it; long-lived processes
-// may call it whenever (concurrent savers last-writer-win on a complete
-// index, never a torn one).
-func (s *Store) SaveAtimeIndex() error {
-	merged := s.mergedAtimes()
-	if len(merged) == 0 {
-		return nil
-	}
-	rels := make([]string, 0, len(merged))
-	for rel := range merged {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
-	w := NewBinWriter(BinTagAtimeIndex, 16+24*len(rels))
-	w.Uvarint(uint64(len(rels)))
-	for _, rel := range rels {
-		w.String(rel)
-		w.Varint(merged[rel])
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("pipeline: save atime index: %w", err)
-	}
-	_, werr := tmp.Write(w.Bytes())
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), filepath.Join(s.dir, atimeIndexName))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: save atime index: %w", werr)
-	}
-	return nil
+	return st, nil
 }

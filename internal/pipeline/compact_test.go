@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,17 +11,12 @@ import (
 	"time"
 )
 
-// putBoth writes an artifact in both formats — the "JSON twin" shape Compact
-// evicts first — and returns the combined size.
-func putBoth(t *testing.T, s *Store, key Key, binSize, jsonSize int) int64 {
+// putSized writes an artifact of n filler bytes in format f.
+func putSized(t *testing.T, s *Store, kind Kind, key Key, n int, f Format) {
 	t.Helper()
-	if err := s.Put(StageProfile, key, bytes.Repeat([]byte{0xCB}, binSize), FormatBinary); err != nil {
+	if err := s.Put(kind, key, bytes.Repeat([]byte{0xCB}, n), f); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(StageProfile, key, bytes.Repeat([]byte{'j'}, jsonSize), FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	return int64(binSize + jsonSize)
 }
 
 func TestDiskStats(t *testing.T) {
@@ -28,10 +24,9 @@ func TestDiskStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putBoth(t, s, testKey("ds-1"), 100, 50)
-	if err := s.Put(StageSolve, testKey("ds-2"), make([]byte, 30), FormatBinary); err != nil {
-		t.Fatal(err)
-	}
+	putSized(t, s, StageProfile, testKey("ds-1"), 100, FormatBinary)
+	putSized(t, s, StageProfile, testKey("ds-1", "json"), 50, FormatJSON)
+	putSized(t, s, StageSolve, testKey("ds-2"), 30, FormatBinary)
 	ds, err := s.DiskStats()
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +48,9 @@ func TestCompactUnderBudgetIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := putBoth(t, s, testKey("fit"), 100, 60)
+	putSized(t, s, StageProfile, testKey("fit"), 100, FormatBinary)
+	putSized(t, s, StageValidate, testKey("fit"), 60, FormatJSON)
+	const total = 160
 	st, err := s.Compact(total + 1)
 	if err != nil {
 		t.Fatal(err)
@@ -67,47 +64,8 @@ func TestCompactUnderBudgetIsNoop(t *testing.T) {
 	}
 }
 
-// TestCompactEvictsJSONTwinsFirst: when dropping the JSON duplicates of
-// binary artifacts suffices, every binary artifact survives.
-func TestCompactEvictsJSONTwinsFirst(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []Key{testKey("twin-a"), testKey("twin-b"), testKey("twin-c")}
-	for _, k := range keys {
-		putBoth(t, s, k, 200, 100)
-	}
-	// 900 bytes total; budget 650 is reachable by shedding two 100-byte
-	// twins, so no binary artifact may be touched.
-	st, err := s.Compact(650)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EvictedJSONTwins < 2 || st.EvictedJSONTwins != st.EvictedArtifacts {
-		t.Fatalf("stats = %+v, want only JSON twins evicted", st)
-	}
-	if st.BytesAfter > 650 {
-		t.Fatalf("still over budget: %+v", st)
-	}
-	for _, k := range keys {
-		if _, err := os.Stat(s.Path(StageProfile, k, FormatBinary)); err != nil {
-			t.Errorf("binary artifact %s evicted while twins remained: %v", k, err)
-		}
-	}
-	// Warm reads for every key still hit (binary survived).
-	for _, k := range keys {
-		if _, f, ok, err := s.Get(StageProfile, k); err != nil || !ok || f != FormatBinary {
-			t.Errorf("post-compact read %s: ok=%v f=%v err=%v", k, ok, f, err)
-		}
-	}
-	if ev := s.Evictions(); ev.Compactions != 1 || ev.EvictedArtifacts != int64(st.EvictedArtifacts) {
-		t.Errorf("gauges = %+v", ev)
-	}
-}
-
-// TestCompactLRUOrder: past the twins, eviction is least-recently-used. With
-// no access record, file mtime carries the order.
+// TestCompactLRUOrder: eviction is least-recently-used first, in file mtime
+// order.
 func TestCompactLRUOrder(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -143,75 +101,59 @@ func TestCompactLRUOrder(t *testing.T) {
 	}
 }
 
-// TestCompactAtimeSidecarSurvivesRestart: an access recorded by one process
-// protects the artifact from a later process's LRU pass via the sidecar
-// index, even when file mtimes say otherwise.
-func TestCompactAtimeSidecarSurvivesRestart(t *testing.T) {
+// TestCompactLRUAcrossStores: a disk hit served through one store orders
+// eviction for a second store over the same directory, with no Close in
+// between — the access lives in the artifact's mtime, not in either store's
+// memory. The served artifact is the older file, so mtimes as written would
+// evict it first.
+func TestCompactLRUAcrossStores(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, cold := testKey("sidecar-hot"), testKey("sidecar-cold")
-	for _, k := range []Key{hot, cold} {
-		if err := s.Put(StageProfile, k, make([]byte, 100), FormatBinary); err != nil {
+	st := binIntStage(StageProfile)
+	hot, cold := testKey("lru-hot"), testKey("lru-cold")
+	data, err := st.EncodeBinary(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []Key{hot, cold} {
+		if err := s.Put(StageProfile, k, data, FormatBinary); err != nil {
 			t.Fatal(err)
 		}
-		// Both files look ancient on disk.
-		mt := time.Now().Add(-24 * time.Hour)
+		mt := time.Now().Add(time.Duration(i-2) * 24 * time.Hour)
 		if err := os.Chtimes(s.Path(StageProfile, k, FormatBinary), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Only hot is read; Close persists that access to the sidecar.
-	if _, _, ok, err := s.Get(StageProfile, hot); err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if err := s.Close(); err != nil {
+	r := NewRunner(s)
+	if _, err := Run(r, st, hot, func() (int, error) { return 0, errors.New("recompute of a stored artifact") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, atimeIndexName)); err != nil {
-		t.Fatalf("sidecar index missing after Close: %v", err)
+	if s := r.Manifest().Stats()[StageProfile]; s.DiskHits != 1 {
+		t.Fatalf("stats = %+v, want one disk hit", s)
 	}
 
-	// A fresh process has no in-memory atimes: the sidecar must carry them.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Compact(150); err != nil {
+	if _, err := s2.Compact(int64(len(data)) + 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(s2.Path(StageProfile, hot, FormatBinary)); err != nil {
-		t.Error("recently read artifact evicted despite sidecar atime")
+		t.Error("artifact served as a disk hit was evicted")
 	}
 	if _, err := os.Stat(s2.Path(StageProfile, cold, FormatBinary)); !os.IsNotExist(err) {
-		t.Error("never-read artifact survived over the recently read one")
+		t.Error("never-served artifact survived over the served one")
 	}
 }
 
-// TestCompactDamagedSidecarFallsBack: a corrupt sidecar index degrades to
-// mtime order instead of failing the compaction.
-func TestCompactDamagedSidecarFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, atimeIndexName), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(StageProfile, testKey("dmg"), make([]byte, 10), FormatBinary); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Compact(5); err != nil {
-		t.Fatalf("compact with damaged sidecar: %v", err)
-	}
-}
-
-// TestCompactRemovesStaleTemps: orphaned temp files from crashed writers are
-// reclaimed once they are old enough that no live Put can own them, and
-// fresh temps are left alone.
+// TestCompactRemovesStaleTemps: orphaned temp files from crashed writers,
+// in a shard or in the store root, are reclaimed once they are old enough
+// that no live Put can own them, and fresh temps are left alone. The
+// access-time sidecar older builds kept in the root goes too.
 func TestCompactRemovesStaleTemps(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -222,37 +164,47 @@ func TestCompactRemovesStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	shard := filepath.Dir(s.Path(StageProfile, key, FormatBinary))
-	stale := filepath.Join(shard, ".tmp-stale")
-	freshTmp := filepath.Join(shard, ".tmp-fresh")
-	for _, p := range []string{stale, freshTmp} {
+	stale := []string{filepath.Join(shard, ".tmp-stale"), filepath.Join(s.Dir(), ".tmp-root-stale")}
+	fresh := []string{filepath.Join(shard, ".tmp-fresh"), filepath.Join(s.Dir(), ".tmp-root-fresh")}
+	sidecar := filepath.Join(s.Dir(), retiredSidecar)
+	for _, p := range append(append([]string{sidecar}, stale...), fresh...) {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
+	for _, p := range stale {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, err := s.Compact(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RemovedTemps != 1 {
-		t.Fatalf("removed %d temps, want 1", st.RemovedTemps)
+	if st.RemovedTemps != len(stale) {
+		t.Fatalf("removed %d temps, want %d", st.RemovedTemps, len(stale))
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp survived")
+	for _, p := range append(stale, sidecar) {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived", filepath.Base(p))
+		}
 	}
-	if _, err := os.Stat(freshTmp); err != nil {
-		t.Error("fresh temp removed — could have been a live Put's file")
+	for _, p := range fresh {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("fresh temp %s removed — could have been a live Put's file", filepath.Base(p))
+		}
+	}
+	if _, err := os.Stat(s.Path(StageProfile, key, FormatBinary)); err != nil {
+		t.Error("artifact removed by a cleanup-only compaction")
 	}
 }
 
 // TestCompactConcurrentWithReaders is the required race test: Compact runs
 // under a churn of concurrent Gets, mapped reads and re-Puts. Readers must
 // only ever see an intact artifact or a clean miss — never an error or torn
-// bytes — and the store must stay usable throughout. Run with -race this
-// also proves the atime table's locking.
+// bytes — and the store must stay usable throughout. Readers record their
+// access the way the runner does on a disk hit, racing the unlinks.
 func TestCompactConcurrentWithReaders(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -283,7 +235,7 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 				}
 				k := i % nKeys
 				if g%2 == 0 {
-					data, _, ok, err := s.Get(StageProfile, keys[k])
+					data, ok, err := s.Get(StageProfile, keys[k], FormatBinary)
 					if err != nil {
 						t.Errorf("Get during compact: %v", err)
 						return
@@ -292,6 +244,9 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 						t.Errorf("torn read for key %d", k)
 						return
 					}
+					if ok {
+						touch(s.Path(StageProfile, keys[k], FormatBinary))
+					}
 					if !ok { // evicted: recompute-and-store, like the runner would
 						if err := s.Put(StageProfile, keys[k], payloads[k], FormatBinary); err != nil {
 							t.Errorf("re-Put during compact: %v", err)
@@ -299,7 +254,7 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 						}
 					}
 				} else {
-					m, _, ok, err := s.ReadMapped(StageProfile, keys[k])
+					m, ok, err := s.ReadMapped(StageProfile, keys[k], FormatBinary)
 					if err != nil {
 						t.Errorf("ReadMapped during compact: %v", err)
 						return
@@ -330,7 +285,7 @@ func TestCompactConcurrentWithReaders(t *testing.T) {
 		if err := s.Put(StageProfile, k, payloads[i], FormatBinary); err != nil {
 			t.Fatal(err)
 		}
-		data, _, ok, err := s.Get(StageProfile, k)
+		data, ok, err := s.Get(StageProfile, k, FormatBinary)
 		if err != nil || !ok || !bytes.Equal(data, payloads[i]) {
 			t.Fatalf("key %d unreadable after the storm: ok=%v err=%v", i, ok, err)
 		}

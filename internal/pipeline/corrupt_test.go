@@ -10,9 +10,10 @@ import (
 var corruptBin = append([]byte{'C', 'T', 'D', 'B', BinVersion, BinTagProfile}, 0xFF, 0xFF, 0xFF)
 
 // TestLoadArtifactDeletesCorruptBinary is the regression test for the warm
-// read path: a damaged binary artifact must not only fall back to the JSON
-// twin, it must be deleted so the next warm read stops paying a doomed
-// decode — through both the mapped and the copying read paths.
+// read path: a damaged binary artifact must be deleted before the recompute
+// runs, so a key whose recompute fails or cannot be stored does not pay a
+// doomed decode on every warm read — through both the mapped and the
+// copying read paths. The recompute then writes a good artifact.
 func TestLoadArtifactDeletesCorruptBinary(t *testing.T) {
 	for _, mapped := range []bool{true, false} {
 		name := "copying"
@@ -33,31 +34,34 @@ func TestLoadArtifactDeletesCorruptBinary(t *testing.T) {
 			if err := store.Put(StageSolve, key, corruptBin, FormatBinary); err != nil {
 				t.Fatal(err)
 			}
-			if err := store.Put(StageSolve, key, []byte("7"), FormatJSON); err != nil {
-				t.Fatal(err)
-			}
+			binPath := store.Path(StageSolve, key, FormatBinary)
 
 			r := NewRunner(store)
 			v, err := Run(r, st, key, func() (int, error) {
-				t.Error("recompute ran despite a valid JSON twin")
-				return -1, nil
+				if _, err := os.Stat(binPath); !os.IsNotExist(err) {
+					t.Error("corrupt binary artifact still on disk when the recompute ran")
+				}
+				return 7, nil
 			})
 			if err != nil || v != 7 {
-				t.Fatalf("v=%d err=%v, want the JSON fallback value", v, err)
+				t.Fatalf("v=%d err=%v, want the recomputed value", v, err)
 			}
-			if !r.Manifest().AllHits() {
-				t.Errorf("fallback read recorded a miss: %+v", r.Manifest().Records())
+			if s := r.Manifest().Stats()[StageSolve]; s.Misses != 1 || s.DiskHits != 0 {
+				t.Errorf("stats = %+v, want one miss", s)
 			}
-			binPath := store.Path(StageSolve, key, FormatBinary)
-			if _, err := os.Stat(binPath); !os.IsNotExist(err) {
-				t.Error("corrupt binary artifact still on disk after fallback")
+			data, err := os.ReadFile(binPath)
+			if err != nil {
+				t.Fatalf("recompute did not rewrite the artifact: %v", err)
+			}
+			if got, err := st.DecodeBinary(data); err != nil || got != 7 {
+				t.Errorf("rewritten artifact decodes to %d, %v", got, err)
 			}
 		})
 	}
 }
 
-// TestLoadArtifactCorruptBinaryNoTwinRecomputes: with no JSON fallback the
-// damaged binary is a miss; the recompute overwrites it with a good one.
+// TestLoadArtifactCorruptBinaryNoTwinRecomputes: the damaged binary is a
+// miss; the recompute overwrites it with one a fresh runner disk-hits.
 func TestLoadArtifactCorruptBinaryNoTwinRecomputes(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {

@@ -169,7 +169,7 @@ func TestRunCtxCancelledComputeNotPersisted(t *testing.T) {
 	cancel()
 	<-done
 
-	if _, _, ok, err := store.Get(st.Kind, key); err != nil || ok {
+	if _, ok, err := store.Get(st.Kind, key, FormatJSON); err != nil || ok {
 		t.Fatalf("aborted computation left an artifact (ok=%v err=%v)", ok, err)
 	}
 }

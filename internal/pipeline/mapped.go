@@ -67,27 +67,21 @@ func readMapped(path string) (*Mapping, bool, error) {
 	return &Mapping{data: data}, true, nil
 }
 
-// ReadMapped returns the artifact as a Mapping, its format, and whether it
-// was present, preferring binary like Get. The zero-copy counterpart of Get:
-// a mapped binary artifact can be decoded in borrow mode with no
-// intermediate copy. The caller must Release the mapping — but only after
-// every value decoded from it in borrow mode is dead.
-func (s *Store) ReadMapped(kind Kind, key Key) (*Mapping, Format, bool, error) {
+// ReadMapped returns the artifact stored for (kind, key) in format f as a
+// Mapping, and whether it was present. The zero-copy counterpart of Get: a
+// mapped binary artifact can be decoded in borrow mode with no intermediate
+// copy. The caller must Release the mapping — but only after every value
+// decoded from it in borrow mode is dead.
+func (s *Store) ReadMapped(kind Kind, key Key, f Format) (*Mapping, bool, error) {
 	if err := key.Validate(); err != nil {
-		return nil, FormatJSON, false, err
+		return nil, false, err
 	}
-	if data, f, ok := s.batch.getPending(kind, key); ok {
-		return &Mapping{data: append([]byte(nil), data...)}, f, true, nil
+	if data, ok := s.batch.getPending(kind, key, f); ok {
+		return &Mapping{data: append([]byte(nil), data...)}, true, nil
 	}
-	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		m, ok, err := readMapped(s.Path(kind, key, f))
-		if err != nil {
-			return nil, f, false, fmt.Errorf("pipeline: read mapped %s/%s: %w", kind, key, err)
-		}
-		if ok {
-			s.touch(kind, key)
-			return m, f, true, nil
-		}
+	m, ok, err := readMapped(s.Path(kind, key, f))
+	if err != nil {
+		return nil, false, fmt.Errorf("pipeline: read mapped %s/%s: %w", kind, key, err)
 	}
-	return nil, FormatJSON, false, nil
+	return m, ok, nil
 }

@@ -153,25 +153,28 @@ func TestBinReaderPad8Canonical(t *testing.T) {
 	}
 }
 
-// TestReadMapped covers the mapped read front door: round-trip bytes, binary
-// preference, touch-on-read, the pending-batch copy path, and Release being
-// idempotent and nil-safe.
+// TestReadMapped covers the mapped read front door: round-trip bytes, one
+// file per format, the pending-batch copy path, and Release being idempotent
+// and nil-safe.
 func TestReadMapped(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKey("mapped")
-	if m, _, ok, err := s.ReadMapped(StageProfile, key); err != nil || ok || m != nil {
+	if m, ok, err := s.ReadMapped(StageProfile, key, FormatBinary); err != nil || ok || m != nil {
 		t.Fatalf("empty store: m=%v ok=%v err=%v", m, ok, err)
 	}
 	payload := bytes.Repeat([]byte("mapped artifact "), 64)
 	if err := s.Put(StageProfile, key, payload, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
-	m, f, ok, err := s.ReadMapped(StageProfile, key)
-	if err != nil || !ok || f != FormatBinary {
-		t.Fatalf("read mapped: ok=%v f=%v err=%v", ok, f, err)
+	if m, ok, err := s.ReadMapped(StageProfile, key, FormatJSON); err != nil || ok || m != nil {
+		t.Fatalf("JSON read of a binary artifact: m=%v ok=%v err=%v", m, ok, err)
+	}
+	m, ok, err := s.ReadMapped(StageProfile, key, FormatBinary)
+	if err != nil || !ok {
+		t.Fatalf("read mapped: ok=%v err=%v", ok, err)
 	}
 	if !bytes.Equal(m.Bytes(), payload) {
 		t.Fatal("mapped bytes differ from what was put")
@@ -192,21 +195,6 @@ func TestReadMapped(t *testing.T) {
 	if err := nilM.Release(); err != nil {
 		t.Error("nil Release errored:", err)
 	}
-
-	// Reads recorded an access time for the LRU index.
-	if _, ok := s.mergedAtimes()["profile/"+string(key)]; !ok {
-		t.Error("ReadMapped did not touch the atime table")
-	}
-
-	// JSON twin present too: binary stays preferred.
-	if err := s.Put(StageProfile, key, []byte("{}"), FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	m2, f2, ok, err := s.ReadMapped(StageProfile, key)
-	if err != nil || !ok || f2 != FormatBinary {
-		t.Fatalf("with twin: f=%v ok=%v err=%v", f2, ok, err)
-	}
-	m2.Release()
 }
 
 // TestReadMappedPendingBatch asserts read-your-writes through the batcher:
@@ -225,9 +213,9 @@ func TestReadMappedPendingBatch(t *testing.T) {
 	if _, err := os.Stat(s.Path(StageProfile, key, FormatBinary)); !os.IsNotExist(err) {
 		t.Fatal("pending artifact already on disk")
 	}
-	m, f, ok, err := s.ReadMapped(StageProfile, key)
-	if err != nil || !ok || f != FormatBinary || string(m.Bytes()) != "buffered" {
-		t.Fatalf("pending read: %q f=%v ok=%v err=%v", m.Bytes(), f, ok, err)
+	m, ok, err := s.ReadMapped(StageProfile, key, FormatBinary)
+	if err != nil || !ok || string(m.Bytes()) != "buffered" {
+		t.Fatalf("pending read: %q ok=%v err=%v", m.Bytes(), ok, err)
 	}
 	if m.Mapped() {
 		t.Error("pending artifact claims to be a mapping")
@@ -251,7 +239,7 @@ func TestMappingUnlinkedStaysReadable(t *testing.T) {
 	if err := s.Put(StageProfile, key, payload, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
-	m, _, ok, err := s.ReadMapped(StageProfile, key)
+	m, ok, err := s.ReadMapped(StageProfile, key, FormatBinary)
 	if err != nil || !ok || !m.Mapped() {
 		t.Fatalf("ok=%v mapped=%v err=%v", ok, m.Mapped(), err)
 	}

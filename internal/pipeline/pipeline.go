@@ -10,17 +10,12 @@ import (
 )
 
 // Stage describes one typed pipeline stage: its kind and the codec that
-// round-trips its artifact through the store. Encode must be deterministic —
-// encode(decode(encode(x))) == encode(x) — so content fingerprints are stable
-// across processes; every codec in this repository uses struct-ordered JSON,
-// which satisfies this.
-//
-// Stages whose artifacts are large (recordings, profiles, solve results) may
-// additionally provide a binary codec. When the store prefers binary
-// (the default), such artifacts are written length-prefixed binary instead
-// of JSON; the JSON codec remains the versioned fallback, and the runner
-// reads both formats. EncodeBinary/DecodeBinary must round-trip to values
-// identical to the JSON codec's — asserted by parity property tests.
+// round-trips its artifact through the store. Each stage has exactly one
+// on-disk codec: the binary one (EncodeBinary/DecodeBinary, a pair) when
+// EncodeBinary is set, the JSON one (Encode/Decode) otherwise. The runner
+// reads and writes only that format, so a stage never pays for a second.
+// Encoders must be deterministic — encode(decode(encode(x))) == encode(x) —
+// so artifacts are stable across processes.
 //
 // Decode and DecodeBinary are handed buffers the runner may reuse for the
 // next read: they must not retain or alias their input past the call.
@@ -30,11 +25,12 @@ type Stage[T any] struct {
 	Encode func(T) ([]byte, error)
 	Decode func([]byte) (T, error)
 
-	// EncodeBinary/DecodeBinary, when non-nil, are the stage's binary codec.
+	// EncodeBinary/DecodeBinary, when non-nil, are the stage's binary codec,
+	// and then its only one: Encode/Decode go unused.
 	EncodeBinary func(T) ([]byte, error)
 	DecodeBinary func([]byte) (T, error)
 
-	// DecodeMapped, when non-nil, is the stage's zero-copy binary decoder:
+	// DecodeMapped, when non-nil, is the binary stage's zero-copy decoder:
 	// the runner hands it an mmap'd page-cache-backed view of the artifact
 	// (never a pooled buffer) and the decoded value MAY alias it. The
 	// mapping then lives exactly as long as the decoded value — which the
@@ -42,6 +38,15 @@ type Stage[T any] struct {
 	// ever unmapped underneath a borrowed slice. Must decode to values
 	// byte-identical to DecodeBinary's (asserted by property tests).
 	DecodeMapped func([]byte) (T, error)
+}
+
+// codec returns the stage's one on-disk codec: binary when it has a binary
+// encoder, JSON otherwise.
+func (st Stage[T]) codec() (Format, func(T) ([]byte, error), func([]byte) (T, error)) {
+	if st.EncodeBinary != nil {
+		return FormatBinary, st.EncodeBinary, st.DecodeBinary
+	}
+	return FormatJSON, st.Encode, st.Decode
 }
 
 // slot is the in-memory singleflight cell for one (kind, key): concurrent
@@ -209,12 +214,13 @@ func slotValue[T any](s *slot, st Stage[T], key Key) (T, error) {
 func resolve[T any](ctx context.Context, r *Runner, st Stage[T], key Key, compute func(context.Context) (T, error)) (T, error) {
 	var artifact string
 	if r.store != nil {
-		if v, path, ok := loadArtifact(r, st, key); ok {
+		if v, path, ok := loadArtifact(r.store, st, key); ok {
+			touch(path)
 			r.man.addDiskHit(st.Kind, key, path)
 			return v, nil
 		}
-		// No artifact, or every stored encoding was corrupt/stale: fall
-		// through to a recompute, which overwrites it.
+		// No artifact, or a damaged one (now deleted): fall through to a
+		// recompute, which rewrites it.
 	}
 
 	// Stage boundary: a request cancelled while queued behind the store
@@ -233,13 +239,10 @@ func resolve[T any](ctx context.Context, r *Runner, st Stage[T], key Key, comput
 		return zero, err
 	}
 	if r.store != nil {
-		format, encode := FormatJSON, st.Encode
-		if r.store.write == FormatBinary && st.EncodeBinary != nil {
-			format, encode = FormatBinary, st.EncodeBinary
-		}
+		f, encode, _ := st.codec()
 		if data, eerr := encode(v); eerr == nil {
-			artifact = r.store.Path(st.Kind, key, format)
-			if perr := r.store.Put(st.Kind, key, data, format); perr != nil {
+			artifact = r.store.Path(st.Kind, key, f)
+			if perr := r.store.Put(st.Kind, key, data, f); perr != nil {
 				artifact = "" // computed fine, persisting failed; stay usable
 			}
 		}
@@ -248,81 +251,60 @@ func resolve[T any](ctx context.Context, r *Runner, st Stage[T], key Key, comput
 	return v, nil
 }
 
-// loadArtifact reads and decodes the stored artifact for (stage, key),
-// trying the preferred stored format first. Stages with a mapped decoder
-// read zero-copy through an mmap'd view when the store allows it; everything
-// else goes through a pooled buffer. A binary artifact that fails to decode
-// (truncated, corrupt, wrong version or tag) is deleted — it would otherwise
-// be retried and fail on every warm read — and the JSON artifact, when one
-// exists, serves as the fallback; when everything fails the caller treats
-// the key as a miss and recomputes. A damaged cache entry can cost work,
-// never correctness.
-func loadArtifact[T any](r *Runner, st Stage[T], key Key) (v T, path string, ok bool) {
-	if st.DecodeMapped != nil && r.store.MappedReads() {
-		if v, path, ok, handled := loadArtifactMapped(r, st, key); handled {
-			return v, path, ok
-		}
-		// The mapped binary was corrupt (and has been deleted): retry below
-		// against whatever remains, normally the JSON fallback.
+// loadArtifact reads and decodes the stored artifact for (stage, key) in the
+// stage's one format. Binary stages with a mapped decoder read zero-copy
+// through an mmap'd view when the store allows it; everything else goes
+// through a pooled buffer. An artifact that fails to decode (truncated,
+// corrupt, wrong version or tag) is deleted — it would otherwise be retried
+// and fail on every warm read — and the caller treats the key as a miss and
+// recomputes. A damaged cache entry can cost work, never correctness.
+func loadArtifact[T any](s *Store, st Stage[T], key Key) (v T, path string, ok bool) {
+	f, _, decode := st.codec()
+	var found bool
+	var err error
+	if f == FormatBinary && st.DecodeMapped != nil && s.MappedReads() {
+		v, found, err = loadMapped(s, st.Kind, key, st.DecodeMapped)
+	} else {
+		v, found, err = loadCopied(s, st.Kind, key, f, decode)
 	}
-	buf := r.store.acquireBuf()
-	defer func() { r.store.releaseBuf(buf) }()
-	data, format, found, err := r.store.getAppend(buf, st.Kind, key)
-	buf = data // keep whatever capacity the read grew
-	if err != nil || !found {
+	if !found {
 		return v, "", false
 	}
-	if format == FormatBinary {
-		if st.DecodeBinary != nil {
-			if dv, derr := st.DecodeBinary(data); derr == nil {
-				return dv, r.store.Path(st.Kind, key, FormatBinary), true
-			}
-			// Corrupt or stale-format binary: delete it so warm reads stop
-			// paying a doomed decode before every JSON fallback.
-			os.Remove(r.store.Path(st.Kind, key, FormatBinary))
-		}
-		jpath := r.store.Path(st.Kind, key, FormatJSON)
-		jdata, jfound, jerr := readAppend(buf, jpath)
-		buf = jdata
-		if jerr != nil || !jfound {
-			return v, "", false
-		}
-		data, format = jdata, FormatJSON
-		path = jpath
-	} else {
-		path = r.store.Path(st.Kind, key, FormatJSON)
+	path = s.Path(st.Kind, key, f)
+	if err != nil {
+		_ = os.Remove(path) // best effort: a failed delete costs only a repeat decode
+		return v, "", false
 	}
-	if dv, derr := st.Decode(data); derr == nil {
-		return dv, path, true
-	}
-	return v, "", false
+	return v, path, true
 }
 
-// loadArtifactMapped is loadArtifact's zero-copy front: the artifact is
-// mmap'd and decoded in place, and on success the mapping is deliberately
-// never released — the decoded value aliases it and lives in the runner's
-// slot cache for the process lifetime, backed by the page cache rather than
-// the heap. handled is false only when a corrupt mapped binary was deleted
-// and the caller should retry the copying path (for the JSON fallback).
-func loadArtifactMapped[T any](r *Runner, st Stage[T], key Key) (v T, path string, ok, handled bool) {
-	m, format, found, err := r.store.ReadMapped(st.Kind, key)
-	if err != nil || !found {
-		return v, "", false, true
+// loadMapped is loadArtifact's zero-copy path: the artifact is mmap'd and
+// decoded in place, and on success the mapping is deliberately never
+// released — the decoded value aliases it and lives in the runner's slot
+// cache for the process lifetime, backed by the page cache rather than the
+// heap. A read error counts as not found; err is the decode error.
+func loadMapped[T any](s *Store, kind Kind, key Key, decode func([]byte) (T, error)) (v T, found bool, err error) {
+	m, found, rerr := s.ReadMapped(kind, key, FormatBinary)
+	if rerr != nil || !found {
+		return v, false, nil
 	}
-	if format == FormatBinary {
-		if dv, derr := st.DecodeMapped(m.Bytes()); derr == nil {
-			return dv, r.store.Path(st.Kind, key, FormatBinary), true, true
-		}
+	if v, err = decode(m.Bytes()); err != nil {
 		m.Release()
-		os.Remove(r.store.Path(st.Kind, key, FormatBinary))
-		return v, "", false, false
 	}
-	dv, derr := st.Decode(m.Bytes())
-	m.Release() // JSON decoders never alias their input
-	if derr == nil {
-		return dv, r.store.Path(st.Kind, key, FormatJSON), true, true
+	return v, true, err
+}
+
+// loadCopied is loadArtifact's copying path: the artifact is read into a
+// pooled buffer, which decode must not retain. A read error counts as not
+// found; err is the decode error.
+func loadCopied[T any](s *Store, kind Kind, key Key, f Format, decode func([]byte) (T, error)) (v T, found bool, err error) {
+	data, found, rerr := s.getAppend(s.acquireBuf(), kind, key, f)
+	defer s.releaseBuf(data) // keeps whatever capacity the read grew
+	if rerr != nil || !found {
+		return v, false, nil
 	}
-	return v, "", false, true
+	v, err = decode(data)
+	return v, true, err
 }
 
 // Observe times an uncached stage (filter, formulate) and records it in the

@@ -38,15 +38,19 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey("a")
-	if _, _, ok, err := s.Get(StageProfile, key); err != nil || ok {
+	if _, ok, err := s.Get(StageProfile, key, FormatJSON); err != nil || ok {
 		t.Fatalf("empty store returned ok=%v err=%v", ok, err)
 	}
 	if err := s.Put(StageProfile, key, []byte("hello"), FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	data, format, ok, err := s.Get(StageProfile, key)
-	if err != nil || !ok || format != FormatJSON || string(data) != "hello" {
-		t.Fatalf("get = %q format=%v ok=%v err=%v", data, format, ok, err)
+	data, ok, err := s.Get(StageProfile, key, FormatJSON)
+	if err != nil || !ok || string(data) != "hello" {
+		t.Fatalf("get = %q ok=%v err=%v", data, ok, err)
+	}
+	// Formats are separate files: no binary artifact was written.
+	if _, ok, err := s.Get(StageProfile, key, FormatBinary); err != nil || ok {
+		t.Fatalf("binary get of a JSON artifact: ok=%v err=%v", ok, err)
 	}
 	// Sharded layout: kind/key[:2]/key.json.
 	want := filepath.Join(s.Dir(), "profile", string(key[:2]), string(key)+".json")
@@ -67,7 +71,7 @@ func TestStoreRejectsBadKey(t *testing.T) {
 		if err := s.Put(StageProfile, bad, []byte("x"), FormatJSON); err == nil {
 			t.Errorf("Put accepted key %q", bad)
 		}
-		if _, _, _, err := s.Get(StageProfile, bad); err == nil {
+		if _, _, err := s.Get(StageProfile, bad, FormatJSON); err == nil {
 			t.Errorf("Get accepted key %q", bad)
 		}
 	}
@@ -182,7 +186,7 @@ func TestRunnerCorruptArtifactRecomputes(t *testing.T) {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
 	// The recompute must overwrite the corrupt artifact.
-	data, _, ok, err := store.Get(StageProfile, key)
+	data, ok, err := store.Get(StageProfile, key, FormatJSON)
 	if err != nil || !ok || string(data) != "5" {
 		t.Fatalf("artifact after recompute = %q ok=%v err=%v", data, ok, err)
 	}

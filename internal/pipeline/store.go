@@ -10,15 +10,17 @@ import (
 	"time"
 )
 
-// Format identifies the on-disk encoding of one artifact file.
+// Format identifies the on-disk encoding of one artifact file. A stage has
+// exactly one: binary when it provides a binary codec, JSON otherwise (see
+// Stage).
 type Format uint8
 
 const (
-	// FormatJSON is the original artifact encoding (<key>.json) — the
-	// versioned fallback every stage keeps. Stores always read it.
+	// FormatJSON is the encoding (<key>.json) of stages without a binary
+	// codec.
 	FormatJSON Format = iota
-	// FormatBinary is the length-prefixed binary encoding (<key>.bin) used
-	// for the large artifact kinds when the stage provides a binary codec.
+	// FormatBinary is the length-prefixed binary encoding (<key>.bin) of
+	// stages with a binary codec.
 	FormatBinary
 )
 
@@ -40,13 +42,15 @@ func (f Format) ext() string {
 
 // Store is a content-addressed on-disk artifact store. Artifacts live under
 //
-//	<dir>/<kind>/<key[:2]>/<key>.bin        (binary, preferred for large kinds)
-//	<dir>/<kind>/<key[:2]>/<key>.json       (JSON, the versioned fallback)
+//	<dir>/<kind>/<key[:2]>/<key>.bin        (stages with a binary codec)
+//	<dir>/<kind>/<key[:2]>/<key>.json       (every other stage)
 //
 // sharded by the first key byte so directories stay small at production
 // scale. Writes are atomic (temp file + rename), so concurrent processes
 // sharing a cache directory never observe torn artifacts; a lost race simply
-// rewrites identical bytes.
+// rewrites identical bytes. Each artifact file is the only record of its own
+// facts: its size is its footprint and its mtime its last write or disk hit,
+// the LRU signal Compact evicts by.
 //
 // The store is allocation-lean on the warm path: shard directories are
 // created once and remembered (every later Put is one write + one rename,
@@ -54,8 +58,7 @@ func (f Format) ext() string {
 // steady-state artifact load allocates nothing beyond what the decoder
 // keeps. A Store is safe for concurrent use.
 type Store struct {
-	dir   string
-	write Format // preferred write format for stages with a binary codec
+	dir string
 
 	// dirs remembers shard directories already created by this process, so
 	// Put calls os.MkdirAll once per (kind, key[:2]) instead of once per
@@ -70,12 +73,7 @@ type Store struct {
 	// stages with a mapped decoder. On by default where mmap exists.
 	mapped bool
 
-	// atimes records last-access seconds per artifact, the LRU signal
-	// Compact evicts by. Second granularity keeps the steady state to a
-	// read-locked map lookup; SaveAtimeIndex persists it to the sidecar.
-	atimes atimeTable
-
-	// batch, when enabled, coalesces Puts into per-shard directory-sync
+	// batch, when enabled, takes Puts off the caller's path into per-shard
 	// batches; nil means every Put writes through immediately.
 	batch *writeBatcher
 
@@ -86,23 +84,25 @@ type Store struct {
 	evictedBytes     atomic.Int64
 }
 
-// Open creates (if needed) and returns the store rooted at dir, writing
-// binary artifacts for stages that support them.
+// Open creates (if needed) and returns the store rooted at dir.
 func Open(dir string) (*Store, error) {
-	return OpenWithFormat(dir, FormatBinary)
-}
-
-// OpenWithFormat is Open with an explicit preferred write format. A
-// FormatJSON store still reads binary artifacts written earlier (and vice
-// versa); the format only selects what new artifacts are written as.
-func OpenWithFormat(dir string, write Format) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("pipeline: empty store directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pipeline: open store: %w", err)
 	}
-	return &Store{dir: dir, write: write, mapped: mmapSupported}, nil
+	return &Store{dir: dir, mapped: mmapSupported}, nil
+}
+
+// OpenWithFormat is Open for FormatBinary and an error for any other
+// format. Each stage's codec, not the store, decides what an artifact is
+// written as, and FormatBinary is what the stages that have a choice use.
+func OpenWithFormat(dir string, write Format) (*Store, error) {
+	if write != FormatBinary {
+		return nil, fmt.Errorf("pipeline: open store: write format %s: artifacts are written in their stage's format", write)
+	}
+	return Open(dir)
 }
 
 // Dir returns the store's root directory.
@@ -116,39 +116,13 @@ func (s *Store) SetMappedReads(on bool) { s.mapped = on && mmapSupported }
 // MappedReads reports whether mapped reads are enabled.
 func (s *Store) MappedReads() bool { return s.mapped }
 
-// touch records an artifact access at second granularity — the LRU signal
-// Compact evicts by. The steady state (same artifact, same second) is a
-// read-locked map lookup with no allocation, so hot read paths can afford
-// it.
-func (s *Store) touch(kind Kind, key Key) {
-	now := time.Now().Unix()
-	t := &s.atimes
-	t.mu.RLock()
-	cur, ok := t.m[kind][key]
-	t.mu.RUnlock()
-	if ok && cur >= now {
-		return
-	}
-	t.mu.Lock()
-	if t.m == nil {
-		t.m = make(map[Kind]map[Key]int64)
-	}
-	km := t.m[kind]
-	if km == nil {
-		km = make(map[Key]int64)
-		t.m[kind] = km
-	}
-	if km[key] < now {
-		km[key] = now
-	}
-	t.mu.Unlock()
-}
-
-// atimeTable is the in-memory half of the access index: last-access unix
-// seconds per (kind, key), merged with the on-disk sidecar by Compact.
-type atimeTable struct {
-	mu sync.RWMutex
-	m  map[Kind]map[Key]int64
+// touch records a use of the artifact at path by setting its mtime to now,
+// the LRU order Compact evicts by. It is best effort: an access that cannot
+// be recorded (a read-only cache, an artifact still pending in the write
+// batch) costs only LRU precision.
+func touch(path string) {
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
 }
 
 // Path returns the artifact path for (kind, key) in the given format without
@@ -157,28 +131,25 @@ func (s *Store) Path(kind Kind, key Key, f Format) string {
 	return filepath.Join(s.dir, string(kind), string(key[:2]), string(key)+f.ext())
 }
 
-// Get returns the artifact bytes, the format they were stored in, and
-// whether they were present. Binary artifacts are preferred when both
-// formats exist. The returned slice is freshly allocated and owned by the
-// caller; the runner's hot path uses getAppend with pooled buffers instead.
-func (s *Store) Get(kind Kind, key Key) ([]byte, Format, bool, error) {
+// Get returns the artifact bytes stored for (kind, key) in format f and
+// whether they were present. The returned slice is freshly allocated and
+// owned by the caller; the runner's hot path uses getAppend with pooled
+// buffers instead.
+func (s *Store) Get(kind Kind, key Key, f Format) ([]byte, bool, error) {
 	if err := key.Validate(); err != nil {
-		return nil, FormatJSON, false, err
+		return nil, false, err
 	}
-	if data, f, ok := s.batch.getPending(kind, key); ok {
-		return append([]byte(nil), data...), f, true, nil
+	if data, ok := s.batch.getPending(kind, key, f); ok {
+		return append([]byte(nil), data...), true, nil
 	}
-	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		data, err := os.ReadFile(s.Path(kind, key, f))
-		if err == nil {
-			s.touch(kind, key)
-			return data, f, true, nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, f, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
-		}
+	data, err := os.ReadFile(s.Path(kind, key, f))
+	if os.IsNotExist(err) {
+		return nil, false, nil
 	}
-	return nil, FormatJSON, false, nil
+	if err != nil {
+		return nil, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
+	}
+	return data, true, nil
 }
 
 // acquireBuf returns a pooled read buffer (length 0, whatever capacity it
@@ -196,28 +167,22 @@ func (s *Store) releaseBuf(buf []byte) {
 	s.bufs.Put(&buf)
 }
 
-// getAppend reads the artifact into buf (growing it as needed) and returns
-// the filled slice, its format, and whether it was present. One file-handle
-// allocation aside, a warm read whose buffer has already grown allocates
-// nothing.
-func (s *Store) getAppend(buf []byte, kind Kind, key Key) ([]byte, Format, bool, error) {
+// getAppend reads the artifact stored for (kind, key) in format f into buf
+// (growing it as needed) and returns the filled slice and whether it was
+// present. One file-handle allocation aside, a warm read whose buffer has
+// already grown allocates nothing.
+func (s *Store) getAppend(buf []byte, kind Kind, key Key, f Format) ([]byte, bool, error) {
 	if err := key.Validate(); err != nil {
-		return buf, FormatJSON, false, err
+		return buf, false, err
 	}
-	if data, f, ok := s.batch.getPending(kind, key); ok {
-		return append(buf[:0], data...), f, true, nil
+	if data, ok := s.batch.getPending(kind, key, f); ok {
+		return append(buf[:0], data...), true, nil
 	}
-	for _, f := range [...]Format{FormatBinary, FormatJSON} {
-		data, ok, err := readAppend(buf, s.Path(kind, key, f))
-		if err != nil {
-			return buf, f, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
-		}
-		if ok {
-			s.touch(kind, key)
-			return data, f, true, nil
-		}
+	data, ok, err := readAppend(buf, s.Path(kind, key, f))
+	if err != nil {
+		return data, false, fmt.Errorf("pipeline: get %s/%s: %w", kind, key, err)
 	}
-	return buf, FormatJSON, false, nil
+	return data, ok, nil
 }
 
 // readAppend reads path into buf, reusing its capacity.

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +10,7 @@ import (
 )
 
 // binIntStage is a stage with both codecs plus a mapped decoder, for store
-// format-routing tests. The binary layout is a single varint under the
+// codec-routing tests. The binary layout is a single varint under the
 // profile tag.
 func binIntStage(kind Kind) Stage[int] {
 	st := intStage(kind)
@@ -78,42 +77,44 @@ func TestStoreWritesBinaryForCapableStages(t *testing.T) {
 	}
 }
 
-// TestRunnerReadsLegacyJSONArtifact is the fallback direction: an artifact
-// written by a JSON-format store (or an older build) must be a disk hit for a
-// binary-preferring store, not a recompute.
-func TestRunnerReadsLegacyJSONArtifact(t *testing.T) {
-	dir := t.TempDir()
+// TestRunnerIgnoresJSONUnderBinaryStage pins one codec per stage: a valid
+// JSON artifact under a binary stage's key (as an older build wrote them) is
+// never read. The runner recomputes and writes the binary artifact.
+func TestRunnerIgnoresJSONUnderBinaryStage(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := binIntStage(StageProfile)
-	key := testKey("legacy-json")
-
-	jsonStore, err := OpenWithFormat(dir, FormatJSON)
+	key := testKey("json-under-binary")
+	jdata, err := st.Encode(17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(NewRunner(jsonStore), st, key, func() (int, error) { return 17, nil }); err != nil {
+	if err := store.Put(StageProfile, key, jdata, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(jsonStore.Path(StageProfile, key, FormatJSON)); err != nil {
-		t.Fatalf("JSON artifact missing: %v", err)
+	r := NewRunner(store)
+	computes := 0
+	v, err := Run(r, st, key, func() (int, error) { computes++; return 23, nil })
+	if err != nil || v != 23 || computes != 1 {
+		t.Fatalf("v=%d computes=%d err=%v, want a recompute", v, computes, err)
 	}
-
-	binStore, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	if s := r.Manifest().Stats()[StageProfile]; s.Misses != 1 || s.DiskHits != 0 {
+		t.Errorf("stats = %+v, want one miss", s)
 	}
-	warm := NewRunner(binStore)
-	v, err := Run(warm, st, key, func() (int, error) { t.Fatal("recompute despite JSON artifact"); return 0, nil })
-	if err != nil || v != 17 {
-		t.Fatalf("fallback read = %d, %v", v, err)
+	data, ok, err := store.Get(StageProfile, key, FormatBinary)
+	if err != nil || !ok {
+		t.Fatalf("binary artifact after recompute: ok=%v err=%v", ok, err)
 	}
-	if !warm.Manifest().AllHits() {
-		t.Error("fallback read not recorded as a hit")
+	if got, err := st.DecodeBinary(data); err != nil || got != 23 {
+		t.Fatalf("binary artifact decodes to %d, %v", got, err)
 	}
 }
 
 // TestRunnerCorruptBinaryArtifact pins the damage policy: a truncated or
 // corrupt binary artifact is a cache miss (recompute, overwrite), never an
-// error — unless a valid JSON fallback exists, in which case it is a hit.
+// error.
 func TestRunnerCorruptBinaryArtifact(t *testing.T) {
 	st := binIntStage(StageProfile)
 
@@ -142,39 +143,13 @@ func TestRunnerCorruptBinaryArtifact(t *testing.T) {
 				t.Fatalf("case %d: v=%d computes=%d err=%v", i, v, computes, err)
 			}
 			// The recompute overwrote the damaged artifact.
-			data, format, ok, err := store.Get(StageProfile, key)
-			if err != nil || !ok || format != FormatBinary {
-				t.Fatalf("case %d: artifact after recompute ok=%v format=%v err=%v", i, ok, format, err)
+			data, ok, err := store.Get(StageProfile, key, FormatBinary)
+			if err != nil || !ok {
+				t.Fatalf("case %d: artifact after recompute ok=%v err=%v", i, ok, err)
 			}
 			if got, err := st.DecodeBinary(data); err != nil || got != 55 {
 				t.Fatalf("case %d: rewritten artifact decodes to %d, %v", i, got, err)
 			}
-		}
-	})
-
-	t.Run("json fallback hits", func(t *testing.T) {
-		store, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := testKey("corrupt-bin-with-json")
-		if err := store.Put(StageProfile, key, []byte("CTDB truncated"), FormatBinary); err != nil {
-			t.Fatal(err)
-		}
-		jdata, err := json.Marshal(31)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(StageProfile, key, jdata, FormatJSON); err != nil {
-			t.Fatal(err)
-		}
-		warm := NewRunner(store)
-		v, err := Run(warm, st, key, func() (int, error) { t.Fatal("recompute despite JSON fallback"); return 0, nil })
-		if err != nil || v != 31 {
-			t.Fatalf("fallback = %d, %v", v, err)
-		}
-		if !warm.Manifest().AllHits() {
-			t.Error("fallback read not recorded as a hit")
 		}
 	})
 }
@@ -208,7 +183,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if data, _, ok, err := store.Get(StageRecording, shared); err != nil || !ok || string(data) != "shared-bytes" {
+				if data, ok, err := store.Get(StageRecording, shared, FormatBinary); err != nil || !ok || string(data) != "shared-bytes" {
 					t.Errorf("torn shared read: %q ok=%v err=%v", data, ok, err)
 					return
 				}
@@ -218,7 +193,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 	wg.Wait()
 	for w := 0; w < writers; w++ {
 		key := testKey("concurrent", fmt.Sprint(w))
-		data, _, ok, err := store.Get(StageRecording, key)
+		data, ok, err := store.Get(StageRecording, key, FormatBinary)
 		if err != nil || !ok || string(data) != fmt.Sprintf("artifact-%02d", w) {
 			t.Fatalf("writer %d: %q ok=%v err=%v", w, data, ok, err)
 		}
@@ -239,7 +214,7 @@ func TestStoreShardDirCaching(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	data, _, ok, err := store.Get(StageSolve, key)
+	data, ok, err := store.Get(StageSolve, key, FormatJSON)
 	if err != nil || !ok || string(data) != "2" {
 		t.Fatalf("after rewrites: %q ok=%v err=%v", data, ok, err)
 	}

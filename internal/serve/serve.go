@@ -70,8 +70,8 @@ type Options struct {
 	// StoreBudgetBytes, when positive and the configuration has a disk
 	// store, bounds the store's size: a background pass runs Store.Compact
 	// to this budget every CompactInterval, evicting least-recently-used
-	// artifacts (JSON duplicates of binary artifacts first). Evictions are
-	// visible in /statsz store gauges. Default 0: no compaction.
+	// artifacts (by file mtime, which every disk hit refreshes). Evictions
+	// are visible in /statsz store gauges. Default 0: no compaction.
 	StoreBudgetBytes int64
 	// CompactInterval is the cadence of the compaction pass (default 1m).
 	CompactInterval time.Duration

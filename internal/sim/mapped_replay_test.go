@@ -70,9 +70,9 @@ func TestReplayOverMappedRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, f, ok, err := store.ReadMapped(pipeline.StageRecording, key)
-	if err != nil || !ok || f != pipeline.FormatBinary {
-		t.Fatalf("read mapped: ok=%v f=%v err=%v", ok, f, err)
+	m, ok, err := store.ReadMapped(pipeline.StageRecording, key, pipeline.FormatBinary)
+	if err != nil || !ok {
+		t.Fatalf("read mapped: ok=%v err=%v", ok, err)
 	}
 	defer m.Release()
 	mappedRec, err := schedfile.DecodeRecordingBinaryMapped(m.Bytes(), p, in, mc)
