@@ -29,14 +29,16 @@ vet:
 # compiled simulator kernel vs the reference interpreter (a benchmark of
 # internal/sim, where that test-only oracle lives), the optimization
 # server under concurrent load (cold store vs warm), the multi-core
-# task-graph solve with serial-vs-parallel schedule execution, and the
-# sharded-store scenario matrix (a benchmark of internal/pipeline: binary vs
-# JSON warm reads, zero-copy mmap vs copying reads, replay over a live
-# mapping, batched vs plain puts, pooled replay allocations). bench-all runs
-# everything.
+# task-graph solve with serial-vs-parallel schedule execution by the
+# reference multi-core simulator (a benchmark of internal/sim, beside that
+# simulator), and the sharded-store scenario matrix (a benchmark of
+# internal/pipeline: binary vs JSON warm reads, zero-copy mmap vs copying
+# reads, replay over a live mapping, batched vs plain puts, pooled replay
+# allocations). bench-all runs everything.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput|BenchmarkTaskGraphSolve)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput)$$' -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkSimCompiledKernel$$' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench '^BenchmarkTaskGraphSolve$$' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench '^BenchmarkStoreScenarioMatrix$$' -benchmem ./internal/pipeline
 
 bench-all:

@@ -120,10 +120,10 @@ func (a *App) Config() *exp.Config {
 	return c
 }
 
-// Close finishes the run's bookkeeping: it flushes batched store writes and
-// the store's access-time index, stops the CPU profile, writes the heap
-// profile, and writes the run manifest, each only if the corresponding flag
-// was given. Call it once, after the command's work is done.
+// Close finishes the run's bookkeeping: it flushes batched store writes,
+// stops the CPU profile, writes the heap profile, and writes the run
+// manifest, each only if the corresponding flag was given. Call it once,
+// after the command's work is done.
 func (a *App) Close() {
 	if a.runner != nil {
 		if store := a.runner.Store(); store != nil {

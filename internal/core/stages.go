@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"ctdvs/internal/milp"
 	"ctdvs/internal/volt"
@@ -57,11 +58,11 @@ func Prepare(cats []Category, opts *Options) (*Prepared, error) {
 		if c.Profile.Modes.Len() != modes.Len() {
 			return nil, fmt.Errorf("core: category %d uses a different mode set", i)
 		}
-		if c.Weight <= 0 {
-			return nil, fmt.Errorf("core: category %d has non-positive weight", i)
+		if !(c.Weight > 0) || math.IsInf(c.Weight, 1) {
+			return nil, fmt.Errorf("core: category %d has weight %v, want positive and finite", i, c.Weight)
 		}
-		if c.DeadlineUS <= 0 {
-			return nil, fmt.Errorf("core: category %d has non-positive deadline", i)
+		if !(c.DeadlineUS > 0) || math.IsInf(c.DeadlineUS, 1) {
+			return nil, fmt.Errorf("core: category %d has deadline %v µs, want positive and finite", i, c.DeadlineUS)
 		}
 		wsum += c.Weight
 	}

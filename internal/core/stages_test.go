@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -78,5 +79,20 @@ func TestPrepareCanonicalizes(t *testing.T) {
 	}
 	if _, err := Prepare([]Category{{Profile: pr, Weight: -1, DeadlineUS: dl}}, nil); err == nil {
 		t.Error("Prepare accepted negative weight")
+	}
+}
+
+// TestPrepareRejectsNonFinite checks that a zero, negative, NaN or infinite
+// weight or deadline fails preparation instead of reaching the MILP.
+func TestPrepareRejectsNonFinite(t *testing.T) {
+	_, pr := collectTwoPhase(t)
+	dl := midDeadline(pr)
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Prepare([]Category{{Profile: pr, Weight: v, DeadlineUS: dl}}, nil); err == nil {
+			t.Errorf("Prepare accepted weight %v", v)
+		}
+		if _, err := Prepare([]Category{{Profile: pr, Weight: 1, DeadlineUS: v}}, nil); err == nil {
+			t.Errorf("Prepare accepted deadline %v", v)
+		}
 	}
 }

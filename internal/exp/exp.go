@@ -62,9 +62,8 @@ type Config struct {
 	fingerprints sync.Map // *profile.Profile -> string
 
 	// Machine-pool accounting: outstanding borrows and the high-water mark.
-	// The multi-core simulator draws cores×workers machines at peak; the
-	// no-leak invariant (outstanding returns to zero) is asserted under the
-	// race detector in tests.
+	// The no-leak invariant (outstanding returns to zero) is asserted under
+	// the race detector in tests.
 	poolOutstanding atomic.Int64
 	poolPeak        atomic.Int64
 }

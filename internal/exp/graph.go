@@ -2,10 +2,8 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"ctdvs/internal/core"
 	"ctdvs/internal/ir"
@@ -18,12 +16,15 @@ import (
 )
 
 // This file lifts the experiment pipeline from single programs to task
-// graphs. The graph-level solve and re-simulation are pipeline stages
-// (graphsolve / graphsim) with content-addressed artifacts; the degenerate
-// 1-task/1-core graph is routed through the existing single-program stages
-// (solve / validate), so a task-graph request for a plain benchmark reuses —
-// byte for byte — the artifacts the single-program path writes, and vice
-// versa.
+// graphs. The graph-level solve is a pipeline stage (graphsolve) with
+// content-addressed artifacts. A graph schedule's timeline — predicted or
+// measured — is planned from the per-task profiles (planGraph): a fixed-mode
+// task's time and energy are its profile's per-mode totals, which equal a
+// fixed-mode simulation bit for bit, so executing a solved or governed
+// schedule simulates nothing. The degenerate 1-task/1-core graph is routed
+// through the existing single-program stages (solve / validate), so a
+// task-graph request for a plain benchmark reuses — byte for byte — the
+// artifacts the single-program path writes, and vice versa.
 
 // GraphWorkload is a materialized task-graph workload: the spec, the built
 // graph, the per-task profiles (shared with the single-program profile cache)
@@ -87,7 +88,7 @@ func (c *Config) BuildGraphCtx(ctx context.Context, gs *workloads.GraphSpec, lev
 		}
 		gw.Profiles[i] = pr
 	}
-	gw.FastUS, gw.SlowUS, err = c.graphSpan(gw)
+	gw.FastUS, gw.SlowUS, err = c.graphSpan(ctx, gw)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +105,7 @@ func (c *Config) BuildGraphCtx(ctx context.Context, gs *workloads.GraphSpec, lev
 
 // graphSpan computes the all-fastest and all-slowest placed makespans of a
 // graph workload — pure arithmetic over the profiles, no simulation.
-func (c *Config) graphSpan(gw *GraphWorkload) (fast, slow float64, err error) {
+func (c *Config) graphSpan(ctx context.Context, gw *GraphWorkload) (fast, slow float64, err error) {
 	n := len(gw.Graph.Tasks)
 	nm := gw.Profiles[0].Modes.Len()
 	fastDur := make([]float64, n)
@@ -120,14 +121,10 @@ func (c *Config) graphSpan(gw *GraphWorkload) (fast, slow float64, err error) {
 			Placement: make([]sim.TaskPlacement, n),
 			Order:     order,
 		}
-		dur := make([]float64, n)
-		energy := make([]float64, n)
 		for t := 0; t < n; t++ {
 			s.Placement[t] = sim.TaskPlacement{Core: assign[t], Mode: mode}
-			dur[t] = gw.Profiles[t].TotalTimeUS[mode]
-			energy[t] = gw.Profiles[t].TotalEnergyUJ[mode]
 		}
-		plan, err := sim.PlanGraph(gw.Graph, s, dur, energy)
+		plan, err := c.planGraph(ctx, gw, s)
 		if err != nil {
 			return 0, err
 		}
@@ -167,11 +164,43 @@ var graphSolveStage = pipeline.Stage[*graphSolveArtifact]{
 	DecodeBinary: decodeGraphSolveBinary,
 }
 
-// toGraphResult rebuilds the optimizer result from an artifact, recomputing
-// the exact predicted timeline from the profiles (cold runs pass through the
-// same conversion, so cold and warm results are identical by construction).
-func (a *graphSolveArtifact) toGraphResult(gw *GraphWorkload, reg volt.Regulator) (*core.GraphResult, error) {
+// planGraph is a graph schedule's timeline from its workload's profiles. A
+// fixed-mode task runs for its profile's total time and energy at its placed
+// mode: the per-mode tables the graph MILP and ReclaimGraph price with. The
+// profiles come from this Config, so those totals are, bit for bit, what a
+// fixed-mode run on c.Machine measures, and the timeline is the one
+// sim.SimulateGraph assembles (TestSimulateGraphMatchesSimulator). A task
+// with an intra-task schedule takes its time and energy from the validate
+// stage instead. The schedule must use the workload's mode set.
+func (c *Config) planGraph(ctx context.Context, gw *GraphWorkload, s *sim.GraphSchedule) (*sim.GraphResult, error) {
+	if err := s.Validate(gw.Graph); err != nil {
+		return nil, err
+	}
+	if nm := gw.Profiles[0].Modes.Len(); s.Modes.Len() != nm {
+		return nil, fmt.Errorf("exp: graph schedule has %d modes, the profiles %d", s.Modes.Len(), nm)
+	}
 	n := len(gw.Graph.Tasks)
+	dur := make([]float64, n)
+	energy := make([]float64, n)
+	for t, pr := range gw.Profiles {
+		if t < len(s.Intra) && s.Intra[t] != nil {
+			run, err := c.RunScheduleCtx(ctx, pr, s.Intra[t])
+			if err != nil {
+				return nil, err
+			}
+			dur[t], energy[t] = run.TimeUS, run.EnergyUJ
+			continue
+		}
+		m := s.Placement[t].Mode
+		dur[t], energy[t] = pr.TotalTimeUS[m], pr.TotalEnergyUJ[m]
+	}
+	return sim.PlanGraph(gw.Graph, s, dur, energy)
+}
+
+// toGraphResult rebuilds the optimizer result from an artifact, planning the
+// exact predicted timeline from the profiles (cold runs pass through the
+// same conversion, so cold and warm results are identical by construction).
+func (c *Config) toGraphResult(ctx context.Context, gw *GraphWorkload, a *graphSolveArtifact, reg volt.Regulator) (*core.GraphResult, error) {
 	sched := &sim.GraphSchedule{
 		Modes:     gw.Profiles[0].Modes,
 		Regulator: reg,
@@ -179,14 +208,7 @@ func (a *graphSolveArtifact) toGraphResult(gw *GraphWorkload, reg volt.Regulator
 		Placement: a.Placement,
 		Order:     a.Order,
 	}
-	dur := make([]float64, n)
-	energy := make([]float64, n)
-	for t := 0; t < n; t++ {
-		m := a.Placement[t].Mode
-		dur[t] = gw.Profiles[t].TotalTimeUS[m]
-		energy[t] = gw.Profiles[t].TotalEnergyUJ[m]
-	}
-	plan, err := sim.PlanGraph(gw.Graph, sched, dur, energy)
+	plan, err := c.planGraph(ctx, gw, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -195,21 +217,7 @@ func (a *graphSolveArtifact) toGraphResult(gw *GraphWorkload, reg volt.Regulator
 		PredictedEnergyUJ:   plan.EnergyUJ,
 		PredictedMakespanUS: plan.MakespanUS,
 		Plan:                plan,
-		Solver: &milp.Result{
-			Status:         milp.Status(a.Solver.Status),
-			Objective:      a.Solver.Objective,
-			Bound:          a.Solver.Bound,
-			Nodes:          a.Solver.Nodes,
-			LPIters:        a.Solver.LPIters,
-			Workers:        a.Solver.Workers,
-			SolveTime:      time.Duration(a.Solver.SolveTimeNS),
-			WarmSolves:     a.Solver.WarmSolves,
-			ColdSolves:     a.Solver.ColdSolves,
-			WarmFallbacks:  a.Solver.WarmFallbacks,
-			LPPivots:       a.Solver.LPPivots,
-			LPTime:         time.Duration(a.Solver.LPTimeNS),
-			AnalyticPrunes: a.Solver.AnalyticPrunes,
-		},
+		Solver:              a.Solver.result(),
 	}, nil
 }
 
@@ -270,21 +278,7 @@ func (c *Config) OptimizeGraphCtx(ctx context.Context, gw *GraphWorkload, opts *
 			Order:               res.Schedule.Order,
 			PredictedEnergyUJ:   res.PredictedEnergyUJ,
 			PredictedMakespanUS: res.PredictedMakespanUS,
-			Solver: solverStatsJSON{
-				Status:         int(res.Solver.Status),
-				Objective:      res.Solver.Objective,
-				Bound:          res.Solver.Bound,
-				Nodes:          res.Solver.Nodes,
-				LPIters:        res.Solver.LPIters,
-				Workers:        res.Solver.Workers,
-				SolveTimeNS:    res.Solver.SolveTime.Nanoseconds(),
-				WarmSolves:     res.Solver.WarmSolves,
-				ColdSolves:     res.Solver.ColdSolves,
-				WarmFallbacks:  res.Solver.WarmFallbacks,
-				LPPivots:       res.Solver.LPPivots,
-				LPTimeNS:       res.Solver.LPTime.Nanoseconds(),
-				AnalyticPrunes: res.Solver.AnalyticPrunes,
-			},
+			Solver:              solverStats(res.Solver),
 		}, nil
 	})
 	if err != nil {
@@ -293,11 +287,11 @@ func (c *Config) OptimizeGraphCtx(ctx context.Context, gw *GraphWorkload, opts *
 	if art.Infeasible {
 		return nil, core.ErrInfeasible
 	}
-	return art.toGraphResult(gw, o.Regulator)
+	return c.toGraphResult(ctx, gw, art, o.Regulator)
 }
 
-// GraphRunSummary is the cached scalar outcome of executing a graph schedule:
-// the whole timeline, without per-block maps.
+// GraphRunSummary is the scalar outcome of executing a graph schedule: the
+// whole timeline, without per-block maps.
 type GraphRunSummary struct {
 	MakespanUS         float64       `json:"makespan_us"`
 	EnergyUJ           float64       `json:"energy_uj"`
@@ -308,6 +302,13 @@ type GraphRunSummary struct {
 	CoreBusyUS         []float64     `json:"core_busy_us"`
 	MissedDeadlines    int           `json:"missed_deadlines"`
 	Runs               []sim.TaskRun `json:"runs"`
+}
+
+// MeetsDeadline reports whether the whole graph finished within deadlineUS
+// and no per-task deadline was missed — sim.GraphResult.MeetsDeadline on the
+// summary.
+func (s GraphRunSummary) MeetsDeadline(deadlineUS float64) bool {
+	return s.MissedDeadlines == 0 && s.MakespanUS <= deadlineUS*(1+1e-9)
 }
 
 func summarizeGraph(res *sim.GraphResult) GraphRunSummary {
@@ -324,23 +325,10 @@ func summarizeGraph(res *sim.GraphResult) GraphRunSummary {
 	}
 }
 
-var graphSimStage = pipeline.Stage[GraphRunSummary]{
-	Kind:   pipeline.StageGraphSim,
-	Encode: func(s GraphRunSummary) ([]byte, error) { return json.Marshal(s) },
-	Decode: func(data []byte) (GraphRunSummary, error) {
-		var s GraphRunSummary
-		err := json.Unmarshal(data, &s)
-		return s, err
-	},
-}
-
-// configPool adapts the config's machine pool to sim.MachinePool.
-type configPool struct{ c *Config }
-
-func (p configPool) Acquire() *sim.Machine  { return p.c.acquireMachine() }
-func (p configPool) Release(m *sim.Machine) { p.c.releaseMachine(m) }
-
-// SimulateGraph executes (or loads from cache) a graph schedule.
+// SimulateGraph executes a graph schedule: its outcome equals, field for
+// field, a run of sim.SimulateGraph on machines of this Config's
+// configuration. The workload's profiles must come from this Config, as
+// BuildGraph's do.
 func (c *Config) SimulateGraph(gw *GraphWorkload, s *sim.GraphSchedule) (GraphRunSummary, error) {
 	return c.SimulateGraphCtx(context.Background(), gw, s)
 }
@@ -348,9 +336,10 @@ func (c *Config) SimulateGraph(gw *GraphWorkload, s *sim.GraphSchedule) (GraphRu
 // SimulateGraphCtx is SimulateGraph under a caller context. A degenerate
 // schedule carrying an intra-task edge-grained schedule routes through the
 // single-program validate stage — the artifact is the one an equivalent
-// RunSchedule call reads and writes — and is lifted into the graph summary;
-// everything else runs the multi-core simulator under the graphsim stage with
-// up to min(workers, tasks) concurrent task simulations on pooled machines.
+// RunSchedule call reads and writes — and is lifted into the graph summary
+// with its intra-task transitions. Everything else is planned from the
+// profiles (planGraph): a fixed-mode task's run is already a profile fact,
+// so only intra-task schedules are ever simulated.
 func (c *Config) SimulateGraphCtx(ctx context.Context, gw *GraphWorkload, s *sim.GraphSchedule) (GraphRunSummary, error) {
 	g := gw.Graph
 	if len(g.Tasks) == 1 && s.Cores == 1 && len(s.Intra) == 1 && s.Intra[0] != nil && g.Tasks[0].ReleaseUS == 0 {
@@ -378,24 +367,11 @@ func (c *Config) SimulateGraphCtx(ctx context.Context, gw *GraphWorkload, s *sim
 		return sum, nil
 	}
 
-	fps := make([]string, len(gw.Profiles))
-	for i, pr := range gw.Profiles {
-		var err error
-		if fps[i], err = c.fingerprint(pr); err != nil {
-			return GraphRunSummary{}, err
-		}
-	}
-	key, err := graphSimKey(gw, fps, s, c.Machine.Config())
+	plan, err := c.planGraph(ctx, gw, s)
 	if err != nil {
 		return GraphRunSummary{}, err
 	}
-	return pipeline.RunCtx(ctx, c.runner(), graphSimStage, key, func(context.Context) (GraphRunSummary, error) {
-		res, err := sim.SimulateGraph(configPool{c}, g, s, c.workers())
-		if err != nil {
-			return GraphRunSummary{}, err
-		}
-		return summarizeGraph(res), nil
-	})
+	return summarizeGraph(plan), nil
 }
 
 // ReclaimGraph runs the slack-reclaiming governor over a static graph
@@ -438,8 +414,7 @@ type GraphCell struct {
 
 // TaskGraphStudy optimizes and executes every corpus graph at the given mode
 // level count: compile-time schedule via the graph MILP, then the online
-// governor over it. Cells run sequentially (each one already fans out task
-// simulations across the machine pool).
+// governor over it. Cells run sequentially.
 func (c *Config) TaskGraphStudy(levels int) ([]GraphCell, error) {
 	return c.TaskGraphStudyCtx(context.Background(), levels)
 }
@@ -502,8 +477,7 @@ func TaskGraphTable(cells []GraphCell) *Table {
 	}
 	for _, cell := range cells {
 		met := "yes"
-		if cell.Static.MissedDeadlines > 0 || cell.Static.MakespanUS > cell.DeadlineUS*(1+1e-9) ||
-			cell.Governed.MissedDeadlines > 0 || cell.Governed.MakespanUS > cell.DeadlineUS*(1+1e-9) {
+		if !cell.Static.MeetsDeadline(cell.DeadlineUS) || !cell.Governed.MeetsDeadline(cell.DeadlineUS) {
 			met = "NO"
 		}
 		t.Rows = append(t.Rows, []string{

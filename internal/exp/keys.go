@@ -6,7 +6,6 @@ import (
 	"ctdvs/internal/core"
 	"ctdvs/internal/milp"
 	"ctdvs/internal/pipeline"
-	"ctdvs/internal/schedfile"
 	"ctdvs/internal/sim"
 )
 
@@ -166,41 +165,4 @@ func graphSolveKey(gw *GraphWorkload, fingerprints []string, o *core.Options) pi
 	b.Bool("no_transition_costs", o.NoTransitionCosts)
 	addMILPOptions(b, o.MILP)
 	return b.Sum()
-}
-
-// graphSimKey addresses one graph-schedule execution: the graph structure,
-// the full schedule (cores, per-task placement, per-core order, regulator,
-// per-task intra-schedule fingerprints when present) and the machine
-// configuration. The mode set is covered by the profile fingerprints.
-func graphSimKey(gw *GraphWorkload, fingerprints []string, s *sim.GraphSchedule, mc sim.Config) (pipeline.Key, error) {
-	b := pipeline.NewKey(pipeline.StageGraphSim)
-	addGraphStructure(b, gw, fingerprints)
-	b.Int("cores", int64(s.Cores))
-	b.Float("regulator.c", s.Regulator.C)
-	b.Float("regulator.u", s.Regulator.U)
-	b.Float("regulator.imax", s.Regulator.IMax)
-	for t, pl := range s.Placement {
-		b.Int("place.task", int64(t))
-		b.Int("place.core", int64(pl.Core))
-		b.Int("place.mode", int64(pl.Mode))
-	}
-	for c, order := range s.Order {
-		b.Int("order.core", int64(c))
-		for _, t := range order {
-			b.Int("order.task", int64(t))
-		}
-	}
-	for t := 0; t < len(s.Intra); t++ {
-		if s.Intra[t] == nil {
-			continue
-		}
-		fp, err := schedfile.Fingerprint(gw.Graph.Tasks[t].Program.Name, s.Intra[t])
-		if err != nil {
-			return "", err
-		}
-		b.Int("intra.task", int64(t))
-		b.Str("intra.schedule", fp)
-	}
-	addSimConfig(b, mc)
-	return b.Sum(), nil
 }

@@ -72,6 +72,44 @@ type solverStatsJSON struct {
 	AnalyticPrunes int `json:"analytic_prunes,omitempty"`
 }
 
+// solverStats keeps the statistics of a finished solve for its artifact.
+func solverStats(r *milp.Result) solverStatsJSON {
+	return solverStatsJSON{
+		Status:         int(r.Status),
+		Objective:      r.Objective,
+		Bound:          r.Bound,
+		Nodes:          r.Nodes,
+		LPIters:        r.LPIters,
+		Workers:        r.Workers,
+		SolveTimeNS:    r.SolveTime.Nanoseconds(),
+		WarmSolves:     r.WarmSolves,
+		ColdSolves:     r.ColdSolves,
+		WarmFallbacks:  r.WarmFallbacks,
+		LPPivots:       r.LPPivots,
+		LPTimeNS:       r.LPTime.Nanoseconds(),
+		AnalyticPrunes: r.AnalyticPrunes,
+	}
+}
+
+// result rebuilds the solver statistics an artifact kept.
+func (s solverStatsJSON) result() *milp.Result {
+	return &milp.Result{
+		Status:         milp.Status(s.Status),
+		Objective:      s.Objective,
+		Bound:          s.Bound,
+		Nodes:          s.Nodes,
+		LPIters:        s.LPIters,
+		Workers:        s.Workers,
+		SolveTime:      time.Duration(s.SolveTimeNS),
+		WarmSolves:     s.WarmSolves,
+		ColdSolves:     s.ColdSolves,
+		WarmFallbacks:  s.WarmFallbacks,
+		LPPivots:       s.LPPivots,
+		LPTime:         time.Duration(s.LPTimeNS),
+		AnalyticPrunes: s.AnalyticPrunes,
+	}
+}
+
 // solveArtifact is the cached outcome of one MILP solve. Infeasible outcomes
 // are artifacts too, so a warm run does not re-solve problems known to have
 // no schedule.
@@ -109,21 +147,7 @@ func (a *solveArtifact) toResult() (*core.Result, error) {
 		PredictedTimeUS:   a.PredictedTimeUS,
 		IndependentEdges:  a.IndependentEdges,
 		TotalEdges:        a.TotalEdges,
-		Solver: &milp.Result{
-			Status:         milp.Status(a.Solver.Status),
-			Objective:      a.Solver.Objective,
-			Bound:          a.Solver.Bound,
-			Nodes:          a.Solver.Nodes,
-			LPIters:        a.Solver.LPIters,
-			Workers:        a.Solver.Workers,
-			SolveTime:      time.Duration(a.Solver.SolveTimeNS),
-			WarmSolves:     a.Solver.WarmSolves,
-			ColdSolves:     a.Solver.ColdSolves,
-			WarmFallbacks:  a.Solver.WarmFallbacks,
-			LPPivots:       a.Solver.LPPivots,
-			LPTime:         time.Duration(a.Solver.LPTimeNS),
-			AnalyticPrunes: a.Solver.AnalyticPrunes,
-		},
+		Solver:            a.Solver.result(),
 	}, nil
 }
 
@@ -192,21 +216,7 @@ func (c *Config) OptimizeCtx(ctx context.Context, cats []core.Category, opts *co
 			PredictedTimeUS:   res.PredictedTimeUS,
 			IndependentEdges:  res.IndependentEdges,
 			TotalEdges:        res.TotalEdges,
-			Solver: solverStatsJSON{
-				Status:         int(res.Solver.Status),
-				Objective:      res.Solver.Objective,
-				Bound:          res.Solver.Bound,
-				Nodes:          res.Solver.Nodes,
-				LPIters:        res.Solver.LPIters,
-				Workers:        res.Solver.Workers,
-				SolveTimeNS:    res.Solver.SolveTime.Nanoseconds(),
-				WarmSolves:     res.Solver.WarmSolves,
-				ColdSolves:     res.Solver.ColdSolves,
-				WarmFallbacks:  res.Solver.WarmFallbacks,
-				LPPivots:       res.Solver.LPPivots,
-				LPTimeNS:       res.Solver.LPTime.Nanoseconds(),
-				AnalyticPrunes: res.Solver.AnalyticPrunes,
-			},
+			Solver:            solverStats(res.Solver),
 		}, nil
 	})
 	if err != nil {
@@ -352,28 +362,30 @@ func (c *Config) MeasureCtx(ctx context.Context, pr *profile.Profile, sched *sim
 }
 
 // Savings measures the energy-saving ratio 1 − E_dvs/E_single against the
-// best single mode meeting the deadline (core.SavingsVsBestSingle through the
-// validate cache: both runs are cacheable artifacts).
+// best single mode meeting the deadline. E_dvs is the schedule's run through
+// the validate stage; E_single is the profile's total energy at that mode,
+// the baseline dvs-opt prints. The profile must come from this Config (as
+// every caller's does): then that total is, bit for bit, what a fixed-mode
+// run on c.Machine measures (TestFixedModeRunsMatchProfile), so the baseline
+// is never simulated. reg is unused, since a single-mode schedule makes no
+// transitions; it stays because the benchmark harness in perfbench/
+// compiles against this signature.
 func (c *Config) Savings(pr *profile.Profile, sched *sim.Schedule, deadlineUS float64, reg volt.Regulator) (float64, error) {
 	return c.SavingsCtx(context.Background(), pr, sched, deadlineUS, reg)
 }
 
 // SavingsCtx is Savings under a caller context.
 func (c *Config) SavingsCtx(ctx context.Context, pr *profile.Profile, sched *sim.Schedule, deadlineUS float64, reg volt.Regulator) (float64, error) {
-	mode, _, ok := pr.BestSingleMode(deadlineUS)
+	_, baseE, ok := pr.BestSingleMode(deadlineUS)
 	if !ok {
 		return 0, fmt.Errorf("core: no single mode meets deadline %v µs", deadlineUS)
-	}
-	base, err := c.RunScheduleCtx(ctx, pr, core.SingleModeSchedule(pr, mode, reg))
-	if err != nil {
-		return 0, err
 	}
 	dvs, err := c.RunScheduleCtx(ctx, pr, sched)
 	if err != nil {
 		return 0, err
 	}
-	if base.EnergyUJ <= 0 {
+	if baseE <= 0 {
 		return 0, nil
 	}
-	return 1 - dvs.EnergyUJ/base.EnergyUJ, nil
+	return 1 - dvs.EnergyUJ/baseE, nil
 }

@@ -38,10 +38,10 @@ const (
 	StageSolve     Kind = "solve"     // branch-and-bound search
 	StageValidate  Kind = "validate"  // schedule re-simulation
 
-	// Task-graph stages (multi-core extension): the graph-level solve
-	// (placement + per-task modes) and the graph re-simulation.
+	// Task-graph stage (multi-core extension): the graph-level solve
+	// (placement + per-task modes). Executing a graph schedule is not a
+	// stage: its timeline is planned from the per-task profiles.
 	StageGraphSolve Kind = "graphsolve"
-	StageGraphSim   Kind = "graphsim"
 )
 
 // Key is the content address of one artifact: a SHA-256 digest (hex) over a

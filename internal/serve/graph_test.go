@@ -50,12 +50,14 @@ func TestOptimizeGraphRequest(t *testing.T) {
 			g.Static.Run.EnergyUJ, g.Static.Run.MakespanUS, g.PredictedEnergyUJ, g.PredictedMakespanUS)
 	}
 
+	// The solve is the only graph stage: both executions are planned from
+	// the task profiles and leave no record.
 	st := s.Stats()
 	if st.Cache[pipeline.StageGraphSolve].Misses != 1 {
 		t.Errorf("graphsolve misses = %d, want 1", st.Cache[pipeline.StageGraphSolve].Misses)
 	}
-	if st.Cache[pipeline.StageGraphSim].Misses == 0 {
-		t.Error("graphsim never ran")
+	if _, ok := st.Cache["graphsim"]; ok {
+		t.Errorf("a graphsim stage ran: %+v", st.Cache)
 	}
 }
 
@@ -122,8 +124,11 @@ func TestOptimizeGraphWarmRoundTrip(t *testing.T) {
 	coldStatus, coldBody := postOptimize(t, coldTS, req)
 	decodeOK(t, coldStatus, coldBody)
 	coldStats := coldSrv.cfg.Pipeline.Manifest().Stats()
-	if coldStats[pipeline.StageGraphSolve].Misses == 0 || coldStats[pipeline.StageGraphSim].Misses == 0 {
-		t.Fatalf("cold run should miss the graph stages: %+v", coldStats)
+	if coldStats[pipeline.StageGraphSolve].Misses == 0 {
+		t.Fatalf("cold run should miss the graphsolve stage: %+v", coldStats)
+	}
+	if _, ok := coldStats["graphsim"]; ok {
+		t.Errorf("cold run recorded a graphsim stage: %+v", coldStats)
 	}
 
 	warmSrv, warmTS := newTestServer(t, dir, Options{})

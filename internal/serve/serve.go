@@ -452,18 +452,7 @@ func (s *Server) optimize(ctx context.Context, req *Request) (*Response, error) 
 	resp.PredictedTimeUS = res.PredictedTimeUS[0]
 	resp.IndependentEdges = res.IndependentEdges
 	resp.TotalEdges = res.TotalEdges
-	resp.Solver = &SolverStats{
-		Status:         res.Solver.Status.String(),
-		Nodes:          res.Solver.Nodes,
-		LPIters:        res.Solver.LPIters,
-		SolveTimeNS:    res.Solver.SolveTime.Nanoseconds(),
-		WarmSolves:     res.Solver.WarmSolves,
-		ColdSolves:     res.Solver.ColdSolves,
-		WarmFallbacks:  res.Solver.WarmFallbacks,
-		LPPivots:       res.Solver.LPPivots,
-		AnalyticPrunes: res.Solver.AnalyticPrunes,
-		ObjectiveUJ:    res.Solver.Objective,
-	}
+	resp.Solver = solverStats(res.Solver)
 	s.stats.analyticPrunes.Add(int64(res.Solver.AnalyticPrunes))
 
 	if req.IncludeSchedule {
@@ -548,9 +537,10 @@ func (s *Server) graphSpec(req *Request) (*workloads.GraphSpec, error) {
 
 // optimizeGraph mirrors the exp task-graph flow: build the workload, solve the
 // per-core placement and mode assignment, then (unless skip_measure) execute
-// the static schedule and the slack-reclaiming governed schedule. Every stage
-// runs through the same artifact store the single-program path uses — the
-// degenerate 1-task/1-core graph resolves from single-program artifacts.
+// the static schedule and the slack-reclaiming governed schedule, whose
+// timelines are planned from the task profiles. Every stage runs through the
+// same artifact store the single-program path uses — the degenerate
+// 1-task/1-core graph resolves from single-program artifacts.
 func (s *Server) optimizeGraph(ctx context.Context, req *Request) (*Response, error) {
 	gs, err := s.graphSpec(req)
 	if err != nil {
@@ -603,18 +593,7 @@ func (s *Server) optimizeGraph(ctx context.Context, req *Request) (*Response, er
 		modes[t] = res.Schedule.Modes.Mode(pl.Mode).String()
 	}
 	gresp.Modes = modes
-	resp.Solver = &SolverStats{
-		Status:         res.Solver.Status.String(),
-		Nodes:          res.Solver.Nodes,
-		LPIters:        res.Solver.LPIters,
-		SolveTimeNS:    res.Solver.SolveTime.Nanoseconds(),
-		WarmSolves:     res.Solver.WarmSolves,
-		ColdSolves:     res.Solver.ColdSolves,
-		WarmFallbacks:  res.Solver.WarmFallbacks,
-		LPPivots:       res.Solver.LPPivots,
-		AnalyticPrunes: res.Solver.AnalyticPrunes,
-		ObjectiveUJ:    res.Solver.Objective,
-	}
+	resp.Solver = solverStats(res.Solver)
 	s.stats.analyticPrunes.Add(int64(res.Solver.AnalyticPrunes))
 
 	if !req.SkipMeasure {
@@ -641,8 +620,23 @@ func (s *Server) optimizeGraph(ctx context.Context, req *Request) (*Response, er
 }
 
 func graphMeasured(run exp.GraphRunSummary, deadlineUS float64) *GraphMeasured {
-	meets := run.MissedDeadlines == 0 && run.MakespanUS <= deadlineUS*(1+1e-9)
-	return &GraphMeasured{Run: run, MeetsDeadline: meets, SlackUS: deadlineUS - run.MakespanUS}
+	return &GraphMeasured{Run: run, MeetsDeadline: run.MeetsDeadline(deadlineUS), SlackUS: deadlineUS - run.MakespanUS}
+}
+
+// solverStats is the response's view of a solve's statistics.
+func solverStats(r *milp.Result) *SolverStats {
+	return &SolverStats{
+		Status:         r.Status.String(),
+		Nodes:          r.Nodes,
+		LPIters:        r.LPIters,
+		SolveTimeNS:    r.SolveTime.Nanoseconds(),
+		WarmSolves:     r.WarmSolves,
+		ColdSolves:     r.ColdSolves,
+		WarmFallbacks:  r.WarmFallbacks,
+		LPPivots:       r.LPPivots,
+		AnalyticPrunes: r.AnalyticPrunes,
+		ObjectiveUJ:    r.Objective,
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

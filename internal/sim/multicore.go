@@ -156,10 +156,11 @@ func (r *GraphResult) MeetsDeadline(deadlineUS float64) bool {
 }
 
 // PlanGraph assembles the execution timeline of a schedule from per-task
-// durations and energies, without running a simulator. Both the optimizer's
-// predictions and the measured results of SimulateGraph flow through this one
-// function — with durations taken from profiles (which are bit-identical to
-// fixed-mode simulation), predicted and measured timelines agree exactly.
+// durations and energies, without running a simulator. The optimizer's
+// predictions, the timelines exp plans from profiles and the measured
+// results of SimulateGraph all flow through this one function — with
+// durations taken from profiles (which are bit-identical to fixed-mode
+// simulation), predicted and measured timelines agree exactly.
 func PlanGraph(g *ir.TaskGraph, s *GraphSchedule, durUS, energyUJ []float64) (*GraphResult, error) {
 	if err := s.Validate(g); err != nil {
 		return nil, err
@@ -251,8 +252,10 @@ func PlanGraph(g *ir.TaskGraph, s *GraphSchedule, durUS, energyUJ []float64) (*G
 }
 
 // MachinePool supplies machines for task simulations. Acquire must return a
-// machine ready for exclusive use; Release returns it. exp.Config's pooled
-// machines implement this; SinglePool adapts one machine for serial use.
+// machine ready for exclusive use; Release returns it. SinglePool adapts one
+// machine for serial use. Production graph execution (exp.SimulateGraph)
+// plans timelines from profiles and borrows no machines; SimulateGraph over
+// a pool is the reference it is tested against.
 type MachinePool interface {
 	Acquire() *Machine
 	Release(*Machine)

@@ -54,15 +54,17 @@ func (r Regulator) CE() float64 { return r.C * (1 - r.U) * 1e6 }
 func (r Regulator) CT() float64 { return 2 * r.C / r.IMax * 1e6 }
 
 // Validate reports whether the regulator parameters are physically sensible.
+// NaN and infinite values are rejected: they would price every transition as
+// NaN or infinity.
 func (r Regulator) Validate() error {
-	if r.C <= 0 {
-		return fmt.Errorf("volt: regulator capacitance must be positive, got %v", r.C)
+	if !(r.C > 0) || math.IsInf(r.C, 1) {
+		return fmt.Errorf("volt: regulator capacitance must be positive and finite, got %v", r.C)
 	}
-	if r.U < 0 || r.U >= 1 {
+	if !(r.U >= 0 && r.U < 1) {
 		return fmt.Errorf("volt: regulator efficiency must be in [0,1), got %v", r.U)
 	}
-	if r.IMax <= 0 {
-		return fmt.Errorf("volt: regulator IMAX must be positive, got %v", r.IMax)
+	if !(r.IMax > 0) || math.IsInf(r.IMax, 1) {
+		return fmt.Errorf("volt: regulator IMAX must be positive and finite, got %v", r.IMax)
 	}
 	return nil
 }

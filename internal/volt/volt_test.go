@@ -312,3 +312,25 @@ func TestRegulatorValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestRegulatorValidateNonFinite sets each parameter of the default
+// regulator to NaN and to both infinities; every one must be rejected.
+func TestRegulatorValidateNonFinite(t *testing.T) {
+	params := []struct {
+		name string
+		set  func(r *Regulator, v float64)
+	}{
+		{"C", func(r *Regulator, v float64) { r.C = v }},
+		{"U", func(r *Regulator, v float64) { r.U = v }},
+		{"IMax", func(r *Regulator, v float64) { r.IMax = v }},
+	}
+	for _, p := range params {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			r := DefaultRegulator()
+			p.set(&r, v)
+			if err := r.Validate(); err == nil {
+				t.Errorf("%s = %v: expected validation error", p.name, v)
+			}
+		}
+	}
+}
