@@ -24,7 +24,8 @@ vet:
 # BENCH_milp.json, BENCH_bound.json, BENCH_pipeline.json, BENCH_profile.json,
 # BENCH_sim.json, BENCH_serve.json, BENCH_taskgraph.json and BENCH_store.json:
 # serial MILP (warm vs cold inline), parallel MILP, the analytic dual bound
-# (branch-and-bound nodes with the Li–Yao–Yuan bound on vs off), the
+# (branch-and-bound nodes with the Li–Yao–Yuan bound on vs off) — benchmarks
+# of internal/core, beside the formulation they solve — the
 # artifact-store replay, recorded-vs-per-mode profile collection, the
 # compiled simulator kernel vs the reference interpreter (a benchmark of
 # internal/sim, where that test-only oracle lives), the optimization
@@ -36,7 +37,8 @@ vet:
 # reads, replay over a live mapping, batched vs plain puts, pooled replay
 # allocations). bench-all runs everything.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound|BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound)$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkSimCompiledKernel$$' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench '^BenchmarkTaskGraphSolve$$' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench '^BenchmarkStoreScenarioMatrix$$' -benchmem ./internal/pipeline
@@ -44,8 +46,9 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing pass over every artifact and request decoder, and over the
-# voltage inversion against its reference bisection. Each target gets a few
+# Short fuzzing pass over every artifact and request decoder, over the
+# voltage inversion against its reference bisection, and over the simplex's
+# sparse row updates against the dense reference kernel. Each target gets a few
 # seconds of coverage-guided input on top of its checked-in corpus; any
 # crasher it finds becomes a regression seed under testdata/fuzz.
 fuzz-smoke:
@@ -56,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzVoltage$$' -fuzztime=10s ./internal/volt
+	$(GO) test -run '^$$' -fuzz '^FuzzSimplexKernel$$' -fuzztime=10s ./internal/lp
 
 # The PR gate: vet, full build, the whole test suite, the race detector over
 # the packages with real concurrency (pipeline singleflight and concurrent

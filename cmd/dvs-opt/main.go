@@ -61,7 +61,9 @@ func main() {
 
 	cfg := app.Config()
 	if *graphName != "" || *graphFile != "" {
-		runGraph(app, cfg, *graphName, *graphFile, *cores, *levels, *deadlineUS, *capF, *noTrans, *saveGraph)
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		runGraph(app, cfg, *graphName, *graphFile, *cores, *levels, *deadlineUS, *capF, *noTrans, *saveGraph, set)
 		app.Close()
 		return
 	}
@@ -178,9 +180,12 @@ func main() {
 
 // runGraph is the task-graph path: resolve the spec (corpus name or file),
 // solve the per-core placement and mode assignment, execute the static
-// schedule, then run the slack-reclaiming governor over it.
+// schedule, then run the slack-reclaiming governor over it. A spec file
+// fixes the level count and capacitance; set names the flags given on the
+// command line, and an explicit -levels or -cap that disagrees with the
+// file is an error.
 func runGraph(app *cli.App, cfg *exp.Config, name, file string, cores, levels int,
-	deadlineUS, capF float64, noTrans bool, saveGraph string) {
+	deadlineUS, capF float64, noTrans bool, saveGraph string, set map[string]bool) {
 	if name != "" && file != "" {
 		app.Dief("-task-graph and -graph-file are mutually exclusive")
 	}
@@ -211,6 +216,13 @@ func runGraph(app *cli.App, cfg *exp.Config, name, file string, cores, levels in
 		if dl == 0 {
 			dl = gf.DeadlineUS
 		}
+		if set["levels"] && levels != gf.LevelCount() {
+			app.Dief("-levels %d disagrees with %s, solved at %d levels", levels, file, gf.LevelCount())
+		}
+		if set["cap"] && capF != gf.Regulator().C {
+			app.Dief("-cap %g disagrees with %s, solved at %g F", capF, file, gf.Regulator().C)
+		}
+		levels, capF = gf.LevelCount(), gf.Regulator().C
 	}
 	if cores > 0 {
 		override := *gs
@@ -287,7 +299,7 @@ func runGraph(app *cli.App, cfg *exp.Config, name, file string, cores, levels in
 		if err != nil {
 			app.Die(err)
 		}
-		if err := schedfile.SaveGraphSpec(f, gs, gw.DeadlineUS); err != nil {
+		if err := schedfile.SaveGraphSpec(f, gs, gw.DeadlineUS, levels, capF); err != nil {
 			f.Close()
 			app.Die(err)
 		}

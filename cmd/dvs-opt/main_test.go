@@ -117,23 +117,65 @@ func TestGoldenTaskGraph(t *testing.T) {
 }
 
 // TestSavedFilesMatchSimFixtures checks that the files dvs-sim's golden test
-// executes are the ones dvs-opt writes today: a schedule saved with -save
-// and a task-graph spec saved with -save-graph.
+// executes are the ones dvs-opt writes today: a schedule saved with -save,
+// and task-graph specs saved with -save-graph at the default level count
+// and capacitance and at 7 levels and 1 µF. For each spec it also checks
+// that dvs-sim's recorded report of it (testdata/*.golden there) shows the
+// static energy and makespan dvs-opt reported: dvs-sim solves the problem
+// dvs-opt saved, not one at its own defaults.
 func TestSavedFilesMatchSimFixtures(t *testing.T) {
 	dir := t.TempDir()
 	sched := filepath.Join(dir, "sched.json")
 	runGolden(t, "-bench", "mpeg/decode", "-deadline", "3", "-save", sched)
-	spec := filepath.Join(dir, "graph.json")
-	runGolden(t, "-task-graph", "mpi-mix", "-cores", "3", "-save-graph", spec)
-	for _, f := range []struct{ got, fixture string }{
-		{sched, "mpeg-decode.sched.json"},
-		{spec, "mpi-mix.graph.json"},
+	checkFile(t, filepath.Join("..", "dvs-sim", "testdata", "mpeg-decode.sched.json"), readFile(t, sched))
+
+	for _, g := range []struct {
+		args            []string
+		fixture, golden string
+	}{
+		{[]string{"-task-graph", "mpi-mix", "-cores", "3"}, "mpi-mix.graph.json", "graph.golden"},
+		{[]string{"-task-graph", "mpi-mix", "-levels", "7", "-cap", "1e-6"}, "mpi-mix-l7.graph.json", "graph_l7.golden"},
 	} {
-		data, err := os.ReadFile(f.got)
-		if err != nil {
-			t.Fatal(err)
+		spec := filepath.Join(dir, g.fixture)
+		out := runGolden(t, append(g.args, "-save-graph", spec)...)
+		checkFile(t, filepath.Join("..", "dvs-sim", "testdata", g.fixture), readFile(t, spec))
+		opt := optStatic.FindStringSubmatch(out)
+		sim := simStatic.FindStringSubmatch(string(readFile(t, filepath.Join("..", "dvs-sim", "testdata", g.golden))))
+		if opt == nil || sim == nil || opt[1] != sim[1] || opt[2] != sim[2] {
+			t.Errorf("%v: dvs-opt's static run %q, dvs-sim's report of the saved spec %q", g.args, opt, sim)
 		}
-		checkFile(t, filepath.Join("..", "dvs-sim", "testdata", f.fixture), data)
+	}
+}
+
+// The static-run lines of dvs-opt's and dvs-sim's task-graph reports:
+// energy (µJ) and makespan (µs).
+var (
+	optStatic = regexp.MustCompile(`(?m)^static: +energy (\S+) µJ, makespan (\S+) µs`)
+	simStatic = regexp.MustCompile(`(?m)^  static: +(\S+) µJ, makespan (\S+) µs`)
+)
+
+// readFile returns the contents of path.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestGraphFileFlagsMustAgree checks that a spec file fixes the level count
+// and capacitance: repeating them is fine, and an explicit -levels or -cap
+// that disagrees with the file exits 1 before any solve.
+func TestGraphFileFlagsMustAgree(t *testing.T) {
+	spec := filepath.Join("..", "dvs-sim", "testdata", "mpi-mix-l7.graph.json")
+	runGolden(t, "-graph-file", spec, "-levels", "7", "-cap", "1e-6")
+	for _, args := range [][]string{{"-levels", "13"}, {"-levels", "3"}, {"-cap", "1e-5"}} {
+		full := append(append(append([]string(nil), smallRun...), "-graph-file", spec), args...)
+		stdout, stderr, code := runCommand(t, full...)
+		if code != 1 || !strings.Contains(stderr, "disagrees") || strings.Contains(stdout, "MILP") {
+			t.Errorf("dvs-opt %v: exit %d, stderr %q; want exit 1 before any solve", args, code, stderr)
+		}
 	}
 }
 

@@ -11,9 +11,10 @@
 //	dvs-opt -bench mpeg/decode -deadline 3 -save sched.json
 //	dvs-sim -schedule sched.json -input 2
 //
-// Graph mode executes a task-graph spec (written by dvs-opt -save-graph):
-// the placement and mode assignment resolve from the shared artifact cache
-// when dvs-opt already solved them, and both the static schedule and the
+// Graph mode executes a task-graph spec (written by dvs-opt -save-graph) at
+// the level count and regulator capacitance the spec records: the placement
+// and mode assignment resolve from the shared artifact cache when dvs-opt
+// already solved them, and both the static schedule and the
 // slack-reclaiming governed run are reported. Their timelines are planned
 // from the per-task profiles, whose per-mode totals are exactly what a
 // fixed-mode simulation measures, so no task is re-simulated:
@@ -31,7 +32,6 @@ import (
 	"ctdvs/internal/core"
 	"ctdvs/internal/milp"
 	"ctdvs/internal/schedfile"
-	"ctdvs/internal/volt"
 )
 
 func main() {
@@ -116,14 +116,14 @@ func runGraph(app *cli.App, path string, deadlineUS float64) int {
 	}
 
 	cfg := app.Config()
-	gw, err := cfg.BuildGraph(gs, 3, dl)
+	gw, err := cfg.BuildGraph(gs, gf.LevelCount(), dl)
 	if err != nil {
 		app.Die(err)
 	}
-	// The same options dvs-opt's task-graph mode uses by default, so the
+	// The options dvs-opt's task-graph mode solved the spec under, so the
 	// solve resolves from the shared artifact cache instead of re-running.
 	opts := &core.Options{
-		Regulator: volt.DefaultRegulator(),
+		Regulator: gf.Regulator(),
 		MILP:      &milp.Options{TimeLimit: app.SolveLimit, Workers: app.Workers},
 	}
 	res, err := cfg.OptimizeGraph(gw, opts)

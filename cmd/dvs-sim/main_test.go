@@ -32,9 +32,11 @@ func TestMain(m *testing.M) {
 //
 //	dvs-opt -bench mpeg/decode -deadline 3 -save mpeg-decode.sched.json
 //	dvs-opt -task-graph mpi-mix -cores 3 -save-graph mpi-mix.graph.json
+//	dvs-opt -task-graph mpi-mix -levels 7 -cap 1e-6 -save-graph mpi-mix-l7.graph.json
 var (
-	schedFixture = filepath.Join("testdata", "mpeg-decode.sched.json")
-	graphFixture = filepath.Join("testdata", "mpi-mix.graph.json")
+	schedFixture   = filepath.Join("testdata", "mpeg-decode.sched.json")
+	graphFixture   = filepath.Join("testdata", "mpi-mix.graph.json")
+	graphL7Fixture = filepath.Join("testdata", "mpi-mix-l7.graph.json")
 )
 
 // smallRun is the configuration every invocation runs under: the fixtures'
@@ -95,6 +97,18 @@ func TestGoldenGraph(t *testing.T) {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
 	checkGolden(t, "graph.golden", stdout)
+}
+
+// TestGoldenGraphSpecParameters pins the report of a spec saved at 7 levels
+// and 1 µF: dvs-sim solves it at the spec's level count and capacitance
+// (dvs-opt's TestSavedFilesMatchSimFixtures checks that the static run
+// matches the one dvs-opt reported when it saved the spec).
+func TestGoldenGraphSpecParameters(t *testing.T) {
+	stdout, stderr, code := runCommand(t, "-graph", graphL7Fixture)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	checkGolden(t, "graph_l7.golden", stdout)
 }
 
 // TestDeadlineToleranceMatchesMeasure checks that -deadline-us judges a

@@ -49,13 +49,25 @@ type abSeg struct {
 	rate  float64
 }
 
+// abSegs is a list of hull segments, sorted by (rate, group) with sort.Sort
+// through a pointer, which allocates nothing.
+type abSegs []abSeg
+
+func (s abSegs) Len() int { return len(s) }
+func (s abSegs) Less(i, j int) bool {
+	if s[i].rate != s[j].rate {
+		return s[i].rate < s[j].rate
+	}
+	return s[i].group < s[j].group
+}
+func (s abSegs) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
 // abHull summarizes one group's lower convex hull for one budget: the
 // fastest allowed time (feasibility floor), the time at the cheapest-energy
-// point, that cheapest energy, and the buy-time-back segments in ascending
-// rate order.
+// point and that cheapest energy. computeHull appends the hull's
+// buy-time-back segments to a list the caller owns.
 type abHull struct {
 	minT, t0, eMin float64
-	segs           []abSeg
 }
 
 // abCat is one budget constraint: scaled per-group per-mode times (nil for
@@ -64,7 +76,7 @@ type abCat struct {
 	budget   float64
 	t        [][]float64
 	root     []abHull
-	rootSegs []abSeg // all groups' segments merged, ascending (rate, group)
+	rootSegs abSegs // all groups' segments merged, ascending (rate, group)
 	rootT0   float64
 	rootMinT float64
 }
@@ -90,13 +102,14 @@ type analyticBounder struct {
 
 	base float64 // Σ_g eMin[g]
 
-	// Per-call scratch. Bound is coordinator-only, so one set suffices.
+	// Per-call scratch. Bound is coordinator-only, so one set suffices, and
+	// once it has grown a call allocates nothing.
 	keys       []int
 	restricted []int
 	forced     []int
 	masks      [][]bool
 	slotOf     []int32 // group → index into restricted, -1 otherwise
-	newSegs    []abSeg
+	newSegs    abSegs
 }
 
 // abCatSpec is a constructor input: one budget with its per-group times.
@@ -140,36 +153,33 @@ func newAnalyticBounder(nm int, e [][]float64, vsq []float64, cats []abCatSpec, 
 			if spec.t[g] == nil {
 				continue
 			}
-			h, ok := computeHull(g, spec.t[g], e[g], fullMask)
+			h, segs, ok := computeHull(cat.rootSegs, g, spec.t[g], e[g], fullMask)
 			if !ok {
 				continue // unreachable: the full mask is never empty
 			}
 			cat.root[g] = h
 			cat.rootT0 += h.t0
 			cat.rootMinT += h.minT
-			cat.rootSegs = append(cat.rootSegs, h.segs...)
+			cat.rootSegs = segs
 		}
-		sortSegs(cat.rootSegs)
+		sort.Sort(&cat.rootSegs)
 		ab.cats = append(ab.cats, cat)
 	}
 	return ab
 }
 
-// sortSegs orders segments by (rate, group). Rates are strictly increasing
-// within a group (hull convexity), so per-group order — which the repair
-// walk relies on — survives the sort.
-func sortSegs(segs []abSeg) {
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].rate != segs[j].rate {
-			return segs[i].rate < segs[j].rate
-		}
-		return segs[i].group < segs[j].group
-	})
-}
+// The merged segment lists are ordered by (rate, group). Rates are strictly
+// increasing within a group (hull convexity), so per-group order — which
+// the repair walk relies on — survives the sort. Two segments of one group
+// whose rates round to the same value tie, and the repair sum depends on
+// their order; sort.Sort keeps the order the pdqsort of sort.Slice gives
+// (TestSegmentSortMatchesSortSlice), which the recorded solver results
+// were computed with.
 
 // computeHull builds the lower convex hull of a group's allowed (t, e)
-// points. ok is false when no mode is allowed.
-func computeHull(group int, t, e []float64, allowed []bool) (abHull, bool) {
+// points and appends its segments, in descending-time order, to dst. ok is
+// false when no mode is allowed.
+func computeHull(dst abSegs, group int, t, e []float64, allowed []bool) (abHull, abSegs, bool) {
 	type pt struct{ t, e float64 }
 	var pts [13]pt // volt.ModeSet tops out at 13 levels
 	n := 0
@@ -180,15 +190,19 @@ func computeHull(group int, t, e []float64, allowed []bool) (abHull, bool) {
 		}
 	}
 	if n == 0 {
-		return abHull{}, false
+		return abHull{}, dst, false
 	}
 	sub := pts[:n]
-	sort.Slice(sub, func(i, j int) bool {
-		if sub[i].t != sub[j].t {
-			return sub[i].t < sub[j].t
+	// Insertion sort by (t, e). Equal keys are equal points, so any correct
+	// sort yields the same sequence.
+	for i := 1; i < n; i++ {
+		p := sub[i]
+		k := i
+		for ; k > 0 && (sub[k-1].t > p.t || sub[k-1].t == p.t && sub[k-1].e > p.e); k-- {
+			sub[k] = sub[k-1]
 		}
-		return sub[i].e < sub[j].e
-	})
+		sub[k] = p
+	}
 	// Pareto staircase: keep strictly cheaper points as t grows …
 	k := 0
 	bestE := math.Inf(1)
@@ -220,13 +234,13 @@ func computeHull(group int, t, e []float64, allowed []bool) (abHull, bool) {
 	out := abHull{minT: sub[0].t, t0: sub[h-1].t, eMin: sub[h-1].e}
 	for k := h - 1; k >= 1; k-- {
 		dt := sub[k].t - sub[k-1].t
-		out.segs = append(out.segs, abSeg{
+		dst = append(dst, abSeg{
 			group: group,
 			dt:    dt,
 			rate:  (sub[k-1].e - sub[k].e) / dt,
 		})
 	}
-	return out, true
+	return out, dst, true
 }
 
 // Bound is the milp.Options.AnalyticBound callback: a proven lower bound on
@@ -330,20 +344,20 @@ func (ab *analyticBounder) Bound(ov map[int]lp.Bound) (float64, bool) {
 			if cat.t[g] == nil {
 				continue
 			}
-			h, ok := computeHull(g, cat.t[g], ab.e[g], ab.masks[slot])
+			h, segs, ok := computeHull(ab.newSegs, g, cat.t[g], ab.e[g], ab.masks[slot])
 			if !ok {
 				return math.Inf(1), true
 			}
 			t0 += h.t0 - cat.root[g].t0
 			minT += h.minT - cat.root[g].minT
-			ab.newSegs = append(ab.newSegs, h.segs...)
+			ab.newSegs = segs
 		}
 		if minT > cat.budget*(1+1e-9)+1e-12 {
 			return math.Inf(1), true
 		}
 		repair := 0.0
 		if need := t0 - cat.budget; need > 0 {
-			sortSegs(ab.newSegs)
+			sort.Sort(&ab.newSegs)
 			repair = ab.walkRepair(cat.rootSegs, ab.newSegs, need)
 		}
 		if ab.sumCats {

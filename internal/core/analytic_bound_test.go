@@ -278,3 +278,59 @@ func TestGraphAnalyticBoundObjective(t *testing.T) {
 			on.Solver.Nodes, off.Solver.Nodes)
 	}
 }
+
+// TestAnalyticBoundAllocs pins that Bound allocates nothing once its
+// scratch has grown, on a box that restricts every group (a hull per group
+// and category) under a deadline tight enough that the repair walk sorts
+// the restricted groups' fresh segments (the box's cheapest allowed modes
+// overrun the deadline).
+func TestAnalyticBoundAllocs(t *testing.T) {
+	_, pr := collectTwoPhase(t)
+	n := pr.Modes.Len()
+	fast, slow := pr.TotalTimeUS[n-1], pr.TotalTimeUS[0]
+	fm := formulateTwoPhase(t, fast+0.15*(slow-fast))
+	ab := fm.f.bounder
+	ov := map[int]lp.Bound{}
+	for _, base := range groupBases(fm) {
+		ov[base+n/2] = lp.Bound{Lo: 0, Hi: 0} // exclude the middle mode
+	}
+	root, _ := ab.Bound(nil)
+	b, _ := ab.Bound(ov)
+	if math.IsInf(b, 1) || !(b > root) {
+		t.Fatalf("box bound %v, root %v: want a finite bound above the root's", b, root)
+	}
+	if len(ab.newSegs) < 2 {
+		t.Fatalf("box leaves %d fresh segments; the segment sort is not exercised", len(ab.newSegs))
+	}
+	allocs := testing.AllocsPerRun(100, func() { ab.Bound(ov) })
+	if allocs != 0 {
+		t.Errorf("Bound on a restricted box made %v allocations, want 0", allocs)
+	}
+}
+
+// TestSegmentSortMatchesSortSlice checks that ordering segments with
+// sort.Sort gives exactly the permutation sort.Slice gave with the same
+// comparison, ties on (rate, group) included — the repair walk's sums
+// depend on the order of tied segments.
+func TestSegmentSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 500; trial++ {
+		segs := make(abSegs, rng.Intn(120))
+		for i := range segs {
+			segs[i] = abSeg{group: rng.Intn(4), dt: rng.Float64(), rate: float64(rng.Intn(6))}
+		}
+		want := append(abSegs(nil), segs...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].rate != want[j].rate {
+				return want[i].rate < want[j].rate
+			}
+			return want[i].group < want[j].group
+		})
+		sort.Sort(&segs)
+		for i := range segs {
+			if segs[i] != want[i] {
+				t.Fatalf("trial %d: position %d is %+v, sort.Slice gave %+v", trial, i, segs[i], want[i])
+			}
+		}
+	}
+}

@@ -122,6 +122,10 @@ type formulation struct {
 	tvar map[[2]int]int
 	// pathD[pair][cat] aggregates D_hij per category for that group pair.
 	pathD map[[2]int][]float64
+	// pairs lists pathD's keys in ascending (group index, group index)
+	// order, the order in which every sum over pairs runs, so that sums are
+	// bit-identical run to run (pathD and evar are maps).
+	pairs [][2]int
 
 	energyScale float64 // objective was divided by this
 	timeScale   []float64
@@ -269,6 +273,18 @@ func buildFormulation(cats []Category, modes *volt.ModeSet, uf *unionFind, o Opt
 		}
 	}
 
+	f.pairs = make([][2]int, 0, len(f.pathD))
+	for key := range f.pathD {
+		f.pairs = append(f.pairs, key)
+	}
+	sort.Slice(f.pairs, func(i, j int) bool {
+		a, b := f.pairs[i], f.pairs[j]
+		if f.kvar[a[0]] != f.kvar[b[0]] {
+			return f.kvar[a[0]] < f.kvar[b[0]]
+		}
+		return f.kvar[a[1]] < f.kvar[b[1]]
+	})
+
 	// Transition objective coefficients: CE · Σ_g p_g · D (skipped entirely
 	// in the no-transition-cost ablation).
 	if !o.NoTransitionCosts {
@@ -336,8 +352,10 @@ func buildFormulation(cats []Category, modes *volt.ModeSet, uf *unionFind, o Opt
 	}
 	var pairs []abPair
 	if !o.NoTransitionCosts {
+		// Every pair with path traffic has transition variables, so the
+		// bound's pairs are f.pairs, in f.pairs' order.
 		ce := o.Regulator.CE()
-		for key := range f.evar {
+		for _, key := range f.pairs {
 			wd := 0.0
 			for ci, c := range cats {
 				wd += c.Weight * f.pathD[key][ci]
@@ -348,14 +366,6 @@ func buildFormulation(cats []Category, modes *volt.ModeSet, uf *unionFind, o Opt
 				w: ce * wd / f.energyScale,
 			})
 		}
-		// evar is a map; fix the order so the bound's floating-point sums
-		// are bit-identical run to run.
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].a != pairs[j].a {
-				return pairs[i].a < pairs[j].a
-			}
-			return pairs[i].b < pairs[j].b
-		})
 	}
 	f.bounder = newAnalyticBounder(nm, be, vsq, specs, pairs, false)
 
@@ -419,7 +429,8 @@ func (f *formulation) extract(res *milp.Result, cats []Category, o Options) (*Re
 			m := groupMode[f.uf.find(e)]
 			t += float64(c.Profile.EdgeCounts[e]) * c.Profile.TimeUS[dst][m]
 		}
-		for key, d := range f.pathD {
+		for _, key := range f.pairs {
+			d := f.pathD[key]
 			if d[ci] == 0 {
 				continue
 			}

@@ -1,5 +1,5 @@
-// Package lp implements a dense, two-phase, bounded-variable primal simplex
-// solver for linear programs. It is the relaxation engine underneath the
+// Package lp implements a two-phase, bounded-variable primal simplex solver
+// for linear programs. It is the relaxation engine underneath the
 // MILP branch-and-bound in package milp, standing in for the CPLEX solver the
 // paper used (the reproduction is offline and stdlib-only, so the solver is
 // built from scratch).
@@ -12,13 +12,18 @@
 //
 // Lower bounds must be finite (the DVS formulations only use non-negative
 // variables); upper bounds may be +Inf. Maximization is expressed by negating
-// the objective.
+// the objective. Objective coefficients, constraint coefficients and
+// right-hand sides must be finite.
 //
-// The implementation keeps a full dense tableau (B⁻¹A plus a reduced-cost
-// row), handles variable bounds natively (nonbasic variables rest at either
-// bound; bound flips avoid pivots), obtains an initial feasible basis with
-// per-row artificial variables in phase 1, and guards against cycling by
-// switching from Dantzig pricing to Bland's rule when the objective stalls.
+// The implementation stores a full dense tableau (B⁻¹A plus a reduced-cost
+// row) but updates it sparsely: a pivot touches only the columns where the
+// pivot row is nonzero, which on the DVS formulations' rows is a small
+// fraction, and which changes no bit of any result (DESIGN.md, "Sparse row
+// updates"). It handles variable bounds natively (nonbasic variables rest at
+// either bound; bound flips avoid pivots), obtains an initial feasible basis
+// with per-row artificial variables in phase 1, and guards against cycling
+// by switching from Dantzig pricing to Bland's rule when the objective
+// stalls.
 //
 // # Concurrency
 //
@@ -230,8 +235,9 @@ type Options struct {
 	Tol float64
 }
 
-// ErrBadModel reports a structurally invalid problem (no variables,
-// inverted or non-finite lower bounds).
+// ErrBadModel reports an invalid problem: no variables, a non-finite lower
+// bound or a NaN upper bound, or a NaN or infinite objective coefficient,
+// constraint coefficient or right-hand side.
 var ErrBadModel = errors.New("lp: invalid model")
 
 // Bound is a [Lo, Hi] variable box, used by SolveBounded to restrict
@@ -262,9 +268,9 @@ func (p *Problem) SolveBounded(opts *Options, overrides map[int]Bound) (*Solutio
 // with a dual simplex phase instead of the two-phase cold start; when the
 // restoration or the dual phase fails validation it transparently falls back
 // to the cold solve, so the answer is never at risk. When warm.Scratch is
-// set the solve reuses its buffers and cached row template, making repeated
-// solves allocation-free; a Scratch must not be shared between concurrent
-// solves.
+// set the solve reuses its buffers and cached row template, so repeated
+// solves allocate only the Solution they return; a Scratch must not be
+// shared between concurrent solves.
 func (p *Problem) SolveBoundedWarm(opts *Options, overrides map[int]Bound, warm *WarmStart) (*Solution, error) {
 	var o Options
 	if opts != nil {
@@ -281,6 +287,17 @@ func (p *Problem) SolveBoundedWarm(opts *Options, overrides map[int]Bound, warm 
 	if o.MaxIters == 0 {
 		o.MaxIters = 50*(m+n) + 10000
 	}
+	var basis *Basis
+	var sc *Scratch
+	if warm != nil {
+		basis, sc = warm.Basis, warm.Scratch
+	}
+	if sc == nil {
+		sc = NewScratch()
+	}
+	if err := sc.ensureTemplate(p); err != nil {
+		return nil, err
+	}
 	for v := range overrides {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("%w: bound override for unknown variable %d", ErrBadModel, v)
@@ -291,8 +308,8 @@ func (p *Problem) SolveBoundedWarm(opts *Options, overrides map[int]Bound, warm 
 		if b, ok := overrides[j]; ok {
 			lo, hi = b.Lo, b.Hi
 		}
-		if math.IsInf(lo, 0) || math.IsNaN(lo) {
-			return nil, fmt.Errorf("%w: variable %d has non-finite lower bound", ErrBadModel, j)
+		if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(hi) {
+			return nil, fmt.Errorf("%w: variable %d has bounds [%v, %v]", ErrBadModel, j, lo, hi)
 		}
 		if hi < lo {
 			// An empty box is an infeasible model, not a structural error.
@@ -300,14 +317,6 @@ func (p *Problem) SolveBoundedWarm(opts *Options, overrides map[int]Bound, warm 
 		}
 	}
 
-	var basis *Basis
-	var sc *Scratch
-	if warm != nil {
-		basis, sc = warm.Basis, warm.Scratch
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
 	pivots := 0
 	if basis != nil {
 		s := newSimplex(p, o, overrides, sc)

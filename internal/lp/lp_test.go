@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,6 +224,67 @@ func TestNonFiniteLowerBound(t *testing.T) {
 	p.AddVariable(1, math.Inf(-1), 1)
 	if _, err := p.Solve(nil); err == nil {
 		t.Error("expected error for -inf lower bound")
+	}
+}
+
+// TestNonFiniteModelRejected checks that NaN or infinite model data ends in
+// ErrBadModel instead of an "optimal" answer: objective coefficients,
+// constraint coefficients and right-hand sides (checked once per problem
+// revision, when a Scratch builds its row template), and NaN upper bounds,
+// stored or overridden. A repaired model solves again on the same Scratch.
+func TestNonFiniteModelRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		obj  float64 // objective coefficient of x
+		coef float64 // coefficient of x in x·coef + y ≥ rhs
+		rhs  float64
+		hi   float64 // upper bound of x
+		ov   map[int]Bound
+	}{
+		{"NaN objective", nan, 1, 1, 10, nil},
+		{"+Inf objective", inf, 1, 1, 10, nil},
+		{"-Inf objective", -inf, 1, 1, 10, nil},
+		{"NaN coefficient", 1, nan, 1, 10, nil},
+		{"+Inf coefficient", 1, inf, 1, 10, nil},
+		{"-Inf coefficient", 1, -inf, 1, 10, nil},
+		{"NaN rhs", 1, 1, nan, 10, nil},
+		{"+Inf rhs", 1, 1, inf, 10, nil},
+		{"NaN upper bound", 1, 1, 1, nan, nil},
+		{"NaN upper bound override", 1, 1, 1, 10, map[int]Bound{0: {Lo: 0, Hi: nan}}},
+	}
+	for _, tc := range cases {
+		p := NewProblem()
+		x := p.AddVariable(tc.obj, 0, tc.hi)
+		y := p.AddVariable(1, 0, 10)
+		p.MustAddConstraint([]Term{{x, tc.coef}, {y, 1}}, GE, tc.rhs)
+		sc := NewScratch()
+		for attempt := 0; attempt < 2; attempt++ {
+			sol, err := p.SolveBoundedWarm(nil, tc.ov, &WarmStart{Scratch: sc})
+			if !errors.Is(err, ErrBadModel) {
+				t.Errorf("%s (attempt %d): got %v, %+v; want ErrBadModel", tc.name, attempt, err, sol)
+			}
+		}
+		if tc.ov == nil {
+			if _, err := p.Solve(nil); !errors.Is(err, ErrBadModel) {
+				t.Errorf("%s: Solve without a scratch: got %v, want ErrBadModel", tc.name, err)
+			}
+		}
+	}
+
+	// The template check follows the problem's revisions.
+	p := NewProblem()
+	x := p.AddVariable(nan, 0, 10)
+	y := p.AddVariable(1, 0, 10)
+	p.MustAddConstraint([]Term{{x, 1}, {y, 1}}, GE, 1)
+	sc := NewScratch()
+	if _, err := p.SolveBoundedWarm(nil, nil, &WarmStart{Scratch: sc}); !errors.Is(err, ErrBadModel) {
+		t.Fatalf("NaN objective: got %v, want ErrBadModel", err)
+	}
+	p.SetObjective(x, 2)
+	sol, err := p.SolveBoundedWarm(nil, nil, &WarmStart{Scratch: sc})
+	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-1) > tol {
+		t.Fatalf("repaired model: %v %+v, want optimal objective 1", err, sol)
 	}
 }
 

@@ -1,18 +1,25 @@
 package lp
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Scratch is reusable working storage for the simplex engine. A solver that
 // performs many solves over the same Problem — the branch-and-bound search in
 // package milp solves thousands of re-bounded relaxations — hands the same
-// Scratch to every call and the steady state becomes allocation-free: the
-// tableau slab, bound/cost/status arrays and pivot buffers are all recycled.
+// Scratch to every call, and the solver state, the tableau slab,
+// bound/cost/status arrays and pivot buffers are all recycled: once the
+// buffers have grown, a solve allocates only what it returns (the Solution,
+// its X and its Basis).
 //
 // A Scratch also caches the raw constraint rows of the Problem it last saw
 // (the coefficient matrix with GE rows normalized and slack columns placed),
 // so repeat solves start from a memcpy instead of re-walking every
 // constraint's term list. The cache is keyed on the Problem pointer and its
-// mutation revision; touching the Problem invalidates it.
+// mutation revision; touching the Problem invalidates it. Building it is
+// also where the model's data is checked for NaN and infinities, once per
+// revision.
 //
 // A Scratch must not be shared between concurrent solves. Each goroutine of a
 // parallel search owns one.
@@ -27,6 +34,9 @@ type Scratch struct {
 	trhs    []float64
 	slackHi []float64
 
+	// sx is the solver state of the current solve; newSimplex resets it.
+	sx simplex
+
 	// Per-solve working buffers, resized on demand and reused across solves.
 	slab         []float64
 	rows         [][]float64
@@ -36,17 +46,41 @@ type Scratch struct {
 	basis, artOf []int
 	xb, rhs      []float64
 	d, col       []float64
+	phase1       []float64
 	active, elim []int
+	nz           []int // the current pivot row's nonzero columns
+	taken        []bool
+
+	// kernel, when non-nil, performs the row operations of every pivot
+	// instead of the sparse kernel. Only tests set it, to install the
+	// dense reference kernel (kernel_test.go), the oracle the sparse
+	// kernel is held to bit for bit.
+	kernel rowKernel
+}
+
+// rowKernel is the row-operation seam of pivot and elimPivot; see
+// Scratch.kernel.
+type rowKernel interface {
+	pivot(s *simplex, r, enter int)
+	elimPivot(s *simplex, r, enter int, elim []int)
 }
 
 // NewScratch returns an empty Scratch ready for its first solve.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // ensureTemplate (re)builds the raw-row template if the scratch has not seen
-// this (Problem, revision) before.
-func (sc *Scratch) ensureTemplate(p *Problem) {
+// this (Problem, revision) before. It rejects a model whose objective,
+// constraint coefficients or right-hand sides are NaN or infinite with
+// ErrBadModel: the simplex needs a finite tableau, and its sparse row
+// updates rely on one. (Bounds, which per-call overrides replace, are
+// checked on every solve.)
+func (sc *Scratch) ensureTemplate(p *Problem) error {
 	if sc.prob == p && sc.rev == p.rev {
-		return
+		return nil
+	}
+	sc.prob = nil // until the template is complete
+	if err := p.checkFinite(); err != nil {
+		return err
 	}
 	n, m := len(p.obj), len(p.cons)
 	sc.prob, sc.rev, sc.n, sc.m = p, p.rev, n, m
@@ -74,6 +108,29 @@ func (sc *Scratch) ensureTemplate(p *Problem) {
 			sc.slackHi[i] = math.Inf(1)
 		}
 	}
+	return nil
+}
+
+// checkFinite reports the first NaN or infinite objective coefficient,
+// constraint coefficient or right-hand side.
+func (p *Problem) checkFinite() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for j, c := range p.obj {
+		if !finite(c) {
+			return fmt.Errorf("%w: variable %d has objective coefficient %v", ErrBadModel, j, c)
+		}
+	}
+	for i, c := range p.cons {
+		for _, t := range c.terms {
+			if !finite(t.Coef) {
+				return fmt.Errorf("%w: constraint %d has coefficient %v on variable %d", ErrBadModel, i, t.Coef, t.Var)
+			}
+		}
+		if !finite(c.rhs) {
+			return fmt.Errorf("%w: constraint %d has right-hand side %v", ErrBadModel, i, c.rhs)
+		}
+	}
+	return nil
 }
 
 // growF returns buf with capacity for at least size float64s (contents
@@ -107,6 +164,14 @@ func ints(buf *[]int, length, capacity int) []int {
 func stats(buf *[]varStatus, length, capacity int) []varStatus {
 	if cap(*buf) < capacity {
 		*buf = make([]varStatus, capacity)
+	}
+	return (*buf)[:length]
+}
+
+// bools is f64 for []bool, with capacity equal to length.
+func bools(buf *[]bool, length int) []bool {
+	if cap(*buf) < length {
+		*buf = make([]bool, length)
 	}
 	return (*buf)[:length]
 }

@@ -14,7 +14,7 @@ const (
 // simplex is the working state of one solve: a dense tableau whose rows have
 // been transformed so that the basic columns form an identity, a reduced-cost
 // row maintained by the same pivots, and the current values of the basic
-// variables.
+// variables. It lives in the Scratch, which every solve reuses.
 type simplex struct {
 	opt Options
 	scr *Scratch
@@ -50,8 +50,9 @@ type simplex struct {
 	bland  bool // anti-cycling mode
 }
 
-// newSimplex builds the per-solve working state from the scratch's cached
-// raw-row template (a memcpy per row) and the solve's effective bounds. The
+// newSimplex builds the per-solve working state, in the scratch, from the
+// scratch's raw-row template (a memcpy per row; the caller has made it
+// current with ensureTemplate) and the solve's effective bounds. The
 // returned state has no basis yet: cold solves call initColdBasis, warm
 // solves call restoreBasis.
 //
@@ -60,9 +61,9 @@ type simplex struct {
 // normalized to LE by negation so every slack has bounds [0, +inf) (or [0,0]
 // for equalities).
 func newSimplex(p *Problem, o Options, overrides map[int]Bound, sc *Scratch) *simplex {
-	sc.ensureTemplate(p)
 	n, m := sc.n, sc.m
-	s := &simplex{opt: o, scr: sc, n: n, m: m}
+	s := &sc.sx
+	*s = simplex{opt: o, scr: sc, n: n, m: m}
 
 	nmax := n + 2*m // artificials never exceed one per row
 	s.lo = f64(&sc.lo, n+m, nmax)
@@ -108,6 +109,7 @@ func newSimplex(p *Problem, o Options, overrides map[int]Bound, sc *Scratch) *si
 	s.xb = f64(&sc.xb, m, m)
 	s.artOf = ints(&sc.artOf, m, m)
 	s.active = ints(&sc.active, 0, nmax)
+	sc.nz = ints(&sc.nz, 0, nmax)
 	return s
 }
 
@@ -215,7 +217,10 @@ func (s *simplex) initCostRow(c []float64) {
 func (s *simplex) solve() (*Solution, error) {
 	tol := s.opt.Tol
 	if s.nart > 0 {
-		phase1 := make([]float64, s.ncolsTotal())
+		phase1 := f64(&s.scr.phase1, s.ncolsTotal(), s.n+2*s.m)
+		for j := range phase1 {
+			phase1[j] = 0
+		}
 		for i := 0; i < s.m; i++ {
 			if a := s.artOf[i]; a >= 0 {
 				phase1[a] = 1
@@ -492,17 +497,57 @@ func (s *simplex) step(enter, dir, leaveRow int, limit float64) {
 }
 
 // pivot performs Gaussian elimination to make column enter the identity
-// column of row r, updating the reduced-cost row alongside. Only active
-// columns are updated (see the active field).
+// column of row r, updating the reduced-cost row alongside. Only the active
+// columns (see the active field) on which the scaled pivot row is nonzero
+// are updated: elsewhere a row operation would subtract f·(±0), which leaves
+// every finite nonzero entry as it is and can change only the sign of a
+// zero, and no part of the solver reads the sign of a zero (DESIGN.md,
+// "Sparse row updates").
 func (s *simplex) pivot(r, enter int) {
+	if k := s.scr.kernel; k != nil {
+		k.pivot(s, r, enter)
+		return
+	}
 	s.pivots++
+	nz, _ := s.scaleRow(r, enter, s.active)
+	s.eliminate(r, enter, nz, nil)
+	if s.d != nil {
+		if f := s.d[enter]; f != 0 {
+			prow := s.tab[r]
+			for _, j := range nz {
+				s.d[j] -= f * prow[j]
+			}
+			s.d[enter] = 0
+		}
+	}
+	s.basis[r] = enter
+}
+
+// scaleRow divides row r by its entry in column enter over the columns
+// cols, sets that entry to exactly 1, and returns the columns of cols where
+// the scaled row is nonzero (in the scratch's buffer, in the order of cols)
+// together with the reciprocal it scaled by.
+func (s *simplex) scaleRow(r, enter int, cols []int) (nz []int, inv float64) {
 	prow := s.tab[r]
-	p := prow[enter]
-	inv := 1 / p
-	for _, j := range s.active {
-		prow[j] *= inv
+	inv = 1 / prow[enter]
+	nz = s.scr.nz[:0]
+	for _, j := range cols {
+		if v := prow[j]; v != 0 {
+			prow[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
 	prow[enter] = 1 // exact
+	s.scr.nz = nz
+	return nz, inv
+}
+
+// eliminate clears column enter from every row but the scaled pivot row r
+// by subtracting the multiple of row r that does it, on the columns nz
+// only. A non-nil rhs (the restoration pivot's right-hand side) is
+// transformed alongside.
+func (s *simplex) eliminate(r, enter int, nz []int, rhs []float64) {
+	prow := s.tab[r]
 	for i := 0; i < s.m; i++ {
 		if i == r {
 			continue
@@ -512,19 +557,12 @@ func (s *simplex) pivot(r, enter int) {
 			continue
 		}
 		row := s.tab[i]
-		for _, j := range s.active {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[enter] = 0 // exact
-	}
-	if s.d != nil {
-		f := s.d[enter]
-		if f != 0 {
-			for _, j := range s.active {
-				s.d[j] -= f * prow[j]
-			}
-			s.d[enter] = 0
+		if rhs != nil {
+			rhs[i] -= f * rhs[r]
 		}
 	}
-	s.basis[r] = enter
 }

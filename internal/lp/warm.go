@@ -122,7 +122,10 @@ func (s *simplex) restoreBasis(b *Basis) bool {
 	// introduces that slack into another row (pivot rows are never slack
 	// homes, and only the home row carries the slack's nonzero). Rows left
 	// over take the structural basis columns.
-	taken := make([]bool, m)
+	taken := bools(&s.scr.taken, m)
+	for i := range taken {
+		taken[i] = false
+	}
 	for j := n; j < n+m; j++ {
 		if b.stat[j] == basic {
 			taken[j-n] = true
@@ -200,33 +203,18 @@ func (s *simplex) restoreBasis(b *Basis) bool {
 	return true
 }
 
-// elimPivot is the restoration pivot: identical row operations to pivot but
-// over the elimination column set, with the right-hand side transformed
-// alongside and no reduced-cost row yet.
+// elimPivot is the restoration pivot: the same sparse row operations as
+// pivot but over the elimination column set, with the right-hand side
+// transformed alongside and no reduced-cost row yet.
 func (s *simplex) elimPivot(r, enter int, elim []int) {
+	if k := s.scr.kernel; k != nil {
+		k.elimPivot(s, r, enter, elim)
+		return
+	}
 	s.pivots++
-	prow := s.tab[r]
-	inv := 1 / prow[enter]
-	for _, j := range elim {
-		prow[j] *= inv
-	}
-	prow[enter] = 1 // exact
+	nz, inv := s.scaleRow(r, enter, elim)
 	s.rhs[r] *= inv
-	for i := 0; i < s.m; i++ {
-		if i == r {
-			continue
-		}
-		f := s.tab[i][enter]
-		if f == 0 {
-			continue
-		}
-		row := s.tab[i]
-		for _, j := range elim {
-			row[j] -= f * prow[j]
-		}
-		row[enter] = 0 // exact
-		s.rhs[i] -= f * s.rhs[r]
-	}
+	s.eliminate(r, enter, nz, s.rhs)
 }
 
 // dualSimplex repairs primal feasibility while preserving dual feasibility:

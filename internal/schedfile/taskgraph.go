@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"ctdvs/internal/ir"
+	"ctdvs/internal/volt"
 	"ctdvs/internal/workloads"
 )
 
@@ -17,8 +18,12 @@ import (
 // dangling edges and oversized task counts are rejected before any
 // program-scale allocation happens.
 
-// GraphVersion identifies the current task-graph spec format.
-const GraphVersion = 1
+// GraphVersion identifies the current task-graph spec format. Version 2
+// records the voltage level count and the regulator capacitance the graph
+// was solved under, so a reader solves the same problem. A version-1 spec,
+// which has neither, reads as 3 levels under volt.DefaultRegulator — what
+// its readers assumed.
+const GraphVersion = 2
 
 // MaxGraphEdges caps the edge list a spec may carry; with ir.MaxTasks tasks a
 // DAG has at most n(n−1)/2 edges, and this looser bound is checked before the
@@ -30,6 +35,11 @@ type GraphFile struct {
 	Version int    `json:"version"`
 	Name    string `json:"name"`
 	Cores   int    `json:"cores"`
+	// Levels (3, 7 or 13) and CapacitanceF (farads) are the mode set and
+	// the regulator capacitance of the solve; version 2 sets both, version
+	// 1 neither (see LevelCount and Regulator).
+	Levels       int     `json:"levels,omitempty"`
+	CapacitanceF float64 `json:"capacitance_f,omitempty"`
 	// Exactly one of DeadlineUS (absolute, µs) and DeadlineFrac (fraction of
 	// the [all-fastest, all-slowest] placed-makespan span) must be set.
 	DeadlineUS   float64         `json:"deadline_us,omitempty"`
@@ -106,7 +116,19 @@ func ValidateTopology(n int, edges [][2]int) error {
 // Validate checks the spec structurally (it does not resolve benchmark names;
 // that happens when the spec is built against the suite).
 func (f *GraphFile) Validate() error {
-	if f.Version != GraphVersion {
+	switch f.Version {
+	case 1:
+		if f.Levels != 0 || f.CapacitanceF != 0 {
+			return fmt.Errorf("schedfile: a version 1 task-graph spec carries no levels or capacitance_f")
+		}
+	case GraphVersion:
+		if _, err := volt.Levels(f.Levels); err != nil {
+			return fmt.Errorf("schedfile: task-graph spec levels: %w", err)
+		}
+		if err := f.Regulator().Validate(); err != nil {
+			return fmt.Errorf("schedfile: task-graph spec capacitance_f: %w", err)
+		}
+	default:
 		return fmt.Errorf("schedfile: unsupported task-graph spec version %d", f.Version)
 	}
 	if f.Name == "" {
@@ -143,6 +165,25 @@ func (f *GraphFile) Validate() error {
 	return nil
 }
 
+// LevelCount is the voltage level count the spec was solved at: Levels,
+// or 3 for a version-1 spec.
+func (f *GraphFile) LevelCount() int {
+	if f.Version == 1 {
+		return 3
+	}
+	return f.Levels
+}
+
+// Regulator is the regulator the spec was solved under: the default
+// regulator with capacitance CapacitanceF, or the default regulator itself
+// for a version-1 spec.
+func (f *GraphFile) Regulator() volt.Regulator {
+	if f.Version == 1 {
+		return volt.DefaultRegulator()
+	}
+	return volt.DefaultRegulator().WithCapacitance(f.CapacitanceF)
+}
+
 // Spec converts a validated file to the workloads representation.
 func (f *GraphFile) Spec() (*workloads.GraphSpec, error) {
 	if err := f.Validate(); err != nil {
@@ -165,18 +206,21 @@ func (f *GraphFile) Spec() (*workloads.GraphSpec, error) {
 	return gs, nil
 }
 
-// NewGraphFile builds the canonical spec representation of a workloads graph.
-// deadlineUS, when non-zero, overrides the spec's fractional deadline with an
-// absolute one.
-func NewGraphFile(gs *workloads.GraphSpec, deadlineUS float64) (*GraphFile, error) {
+// NewGraphFile builds the canonical spec representation of a workloads graph
+// solved at the given level count under a regulator with capacitance capF
+// (farads). deadlineUS, when non-zero, overrides the spec's fractional
+// deadline with an absolute one.
+func NewGraphFile(gs *workloads.GraphSpec, deadlineUS float64, levels int, capF float64) (*GraphFile, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("schedfile: nil graph spec")
 	}
 	f := &GraphFile{
-		Version: GraphVersion,
-		Name:    gs.Name,
-		Cores:   gs.Cores,
-		Edges:   gs.Edges,
+		Version:      GraphVersion,
+		Name:         gs.Name,
+		Cores:        gs.Cores,
+		Levels:       levels,
+		CapacitanceF: capF,
+		Edges:        gs.Edges,
 	}
 	if deadlineUS != 0 {
 		f.DeadlineUS = deadlineUS
@@ -208,9 +252,10 @@ func (f *GraphFile) EncodeGraph() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// SaveGraphSpec writes the canonical spec for a workloads graph.
-func SaveGraphSpec(w io.Writer, gs *workloads.GraphSpec, deadlineUS float64) error {
-	f, err := NewGraphFile(gs, deadlineUS)
+// SaveGraphSpec writes the canonical spec for a workloads graph solved at
+// the given level count and regulator capacitance (see NewGraphFile).
+func SaveGraphSpec(w io.Writer, gs *workloads.GraphSpec, deadlineUS float64, levels int, capF float64) error {
+	f, err := NewGraphFile(gs, deadlineUS, levels, capF)
 	if err != nil {
 		return err
 	}
@@ -223,8 +268,9 @@ func SaveGraphSpec(w io.Writer, gs *workloads.GraphSpec, deadlineUS float64) err
 }
 
 // LoadGraphSpec reads and validates a task-graph spec. The returned file has
-// passed structural validation (version, cores, deadline, topology); resolve
-// it against the benchmark suite with Spec().Build().
+// passed structural validation (version, levels, capacitance, cores,
+// deadline, topology); resolve it against the benchmark suite with
+// Spec().Build(), at LevelCount levels under Regulator.
 func LoadGraphSpec(r io.Reader) (*GraphFile, error) {
 	var f GraphFile
 	dec := json.NewDecoder(r)

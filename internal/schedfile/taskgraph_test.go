@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ctdvs/internal/ir"
+	"ctdvs/internal/volt"
 	"ctdvs/internal/workloads"
 )
 
@@ -17,12 +18,15 @@ func TestGraphSpecRoundTripsCorpus(t *testing.T) {
 		t.Run(gs.Name, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
-			if err := SaveGraphSpec(&buf, gs, 0); err != nil {
+			if err := SaveGraphSpec(&buf, gs, 0, 7, 1e-6); err != nil {
 				t.Fatal(err)
 			}
 			f, err := LoadGraphSpec(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if f.LevelCount() != 7 || f.Regulator() != volt.DefaultRegulator().WithCapacitance(1e-6) {
+				t.Errorf("round trip read %d levels under %+v", f.LevelCount(), f.Regulator())
 			}
 			got, err := f.Spec()
 			if err != nil {
@@ -78,6 +82,48 @@ func TestLoadGraphSpecRejects(t *testing.T) {
 	}
 }
 
+// TestGraphSpecVersions pins how each spec version resolves its solve
+// parameters: version 2 carries its level count and capacitance, version 1
+// reads as 3 levels under the default regulator, and a spec whose fields do
+// not fit its version is rejected.
+func TestGraphSpecVersions(t *testing.T) {
+	t.Parallel()
+	const body = `"name":"g","cores":2,"deadline_frac":0.5,"tasks":[{"bench":"epic"},{"bench":"mpg123"}],"edges":[[0,1]]`
+	for _, tc := range []struct {
+		in     string
+		levels int
+		reg    volt.Regulator
+	}{
+		{`{"version":1,` + body + `}`, 3, volt.DefaultRegulator()},
+		{`{"version":2,"levels":13,"capacitance_f":1e-4,` + body + `}`, 13, volt.DefaultRegulator().WithCapacitance(1e-4)},
+		{`{"version":2,"levels":3,"capacitance_f":1e-5,` + body + `}`, 3, volt.DefaultRegulator()},
+	} {
+		f, err := LoadGraphSpec(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("Load(%s): %v", tc.in, err)
+		}
+		if f.LevelCount() != tc.levels || f.Regulator() != tc.reg {
+			t.Errorf("Load(%s): %d levels under %+v, want %d under %+v", tc.in, f.LevelCount(), f.Regulator(), tc.levels, tc.reg)
+		}
+	}
+	for _, tc := range []struct{ in, want string }{
+		{`{"version":2,"capacitance_f":1e-5,` + body + `}`, "levels"},
+		{`{"version":2,"levels":5,"capacitance_f":1e-5,` + body + `}`, "levels"},
+		{`{"version":2,"levels":7,` + body + `}`, "capacitance"},
+		{`{"version":2,"levels":7,"capacitance_f":-1e-6,` + body + `}`, "capacitance"},
+		{`{"version":2,"levels":7,"capacitance_f":1e309,` + body + `}`, "capacitance_f"},
+		{`{"version":1,"levels":7,` + body + `}`, "version 1"},
+		{`{"version":1,"capacitance_f":1e-6,` + body + `}`, "version 1"},
+	} {
+		if _, err := LoadGraphSpec(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%s): err %v, want mention of %q", tc.in, err, tc.want)
+		}
+	}
+	if _, err := NewGraphFile(workloads.MPIMix(2), 0, 4, 1e-5); err == nil {
+		t.Error("NewGraphFile accepted a 4-level solve")
+	}
+}
+
 func TestLoadGraphSpecRejectsOversized(t *testing.T) {
 	t.Parallel()
 	var b strings.Builder
@@ -112,11 +158,12 @@ func TestValidateTopologyRejectsOversizedEdges(t *testing.T) {
 func FuzzLoadGraphSpec(f *testing.F) {
 	for _, gs := range workloads.Graphs() {
 		var buf bytes.Buffer
-		if err := SaveGraphSpec(&buf, gs, 0); err != nil {
+		if err := SaveGraphSpec(&buf, gs, 0, 3, 10e-6); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.String())
 	}
+	f.Add(`{"version":2,"name":"g","cores":2,"levels":13,"capacitance_f":1e-4,"deadline_us":9000,"tasks":[{"bench":"epic"},{"bench":"mpg123","input":1}],"edges":[[0,1]]}`)
 	f.Add(`{}`)
 	f.Add(`{"version":1,"name":"g","cores":2,"deadline_frac":0.5,"tasks":[{"bench":"epic"},{"bench":"mpg123"}],"edges":[[0,1]]}`)
 	f.Add(`{"version":1,"name":"g","cores":1,"deadline_frac":0.5,"tasks":[{"bench":"a"},{"bench":"b"}],"edges":[[0,1],[1,0]]}`)
