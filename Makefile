@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-race vet bench bench-all bench-history fuzz-smoke ci
+.PHONY: build test test-race vet bench fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -20,31 +20,16 @@ test-race:
 vet:
 	$(GO) vet ./...
 
-# The solver/pipeline/profiling/simulator/server/store benchmarks that rewrite
-# BENCH_milp.json, BENCH_bound.json, BENCH_pipeline.json, BENCH_profile.json,
-# BENCH_sim.json, BENCH_serve.json, BENCH_taskgraph.json and BENCH_store.json:
-# serial MILP (warm vs cold inline), parallel MILP, the analytic dual bound
-# (branch-and-bound nodes with the Li–Yao–Yuan bound on vs off) — benchmarks
-# of internal/core, beside the formulation they solve — the
-# artifact-store replay, recorded-vs-per-mode profile collection, the
-# compiled simulator kernel vs the reference interpreter (a benchmark of
-# internal/sim, where that test-only oracle lives), the optimization
-# server under concurrent load (cold store vs warm), the multi-core
-# task-graph solve with serial-vs-parallel schedule execution by the
-# reference multi-core simulator (a benchmark of internal/sim, beside that
-# simulator), and the sharded-store scenario matrix (a benchmark of
-# internal/pipeline: binary vs JSON warm reads, zero-copy mmap vs copying
-# reads, replay over a live mapping, batched vs plain puts, pooled replay
-# allocations). bench-all runs everything.
+# Every benchmark of every package. A benchmark that backs a wall-clock
+# claim measures both sides itself and fails when its fresh ratio falls
+# below the floor: warm-started vs cold MILP solves (internal/core), the
+# compiled simulator kernel vs the reference interpreter (internal/sim),
+# binary vs JSON and mapped vs copying artifact reads (internal/pipeline),
+# recorded vs per-mode profiling (internal/profile), the warm vs cold
+# deadline sweep (internal/exp) and warm vs cold serving (internal/serve).
+# No benchmark writes a file, so the tree stays clean.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineColdVsWarm|BenchmarkProfileCollect|BenchmarkServeLatency|BenchmarkServeThroughput)$$' -benchmem .
-	$(GO) test -run '^$$' -bench '^(BenchmarkMILPSerial|BenchmarkMILPParallel|BenchmarkMILPAnalyticBound)$$' -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench '^BenchmarkSimCompiledKernel$$' -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench '^BenchmarkTaskGraphSolve$$' -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench '^BenchmarkStoreScenarioMatrix$$' -benchmem ./internal/pipeline
-
-bench-all:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Short fuzzing pass over every artifact and request decoder, over the
 # voltage inversion against its reference bisection, and over the simplex's
@@ -61,20 +46,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVoltage$$' -fuzztime=10s ./internal/volt
 	$(GO) test -run '^$$' -fuzz '^FuzzSimplexKernel$$' -fuzztime=10s ./internal/lp
 
-# The PR gate: vet, full build, the whole test suite, the race detector over
-# the packages with real concurrency (pipeline singleflight and concurrent
-# store Puts over the shard-directory cache and buffer pools, experiment
-# fan-out including the multi-core machine pool, parallel branch-and-bound,
-# concurrent replay of shared recordings, the multi-core scheduler-simulator
-# and HEFT placement, and the optimization server's flight table and worker
-# pool), and the perf-record gate: no committed BENCH_*.json may claim a
-# speedup below its floor (1.0 by default) or allocations above a committed
-# allocs_ceiling — see internal/tools/benchcheck for the schema. benchcheck
-# -history additionally tracks the gated metrics across runs in
-# BENCH_history.jsonl (see the history target). The benchmark harness in
-# perfbench/ is its own module built against this one, so it is vetted and
-# tested too: a change that removes API the benchmark uses fails here. The
-# first step fails when any Go file is not gofmt-formatted.
+# The PR gate. The first step fails when any Go file is not
+# gofmt-formatted. Then vet, a full build and the whole test suite, whose
+# deterministic performance claims (branch-and-bound node floors of the
+# analytic bound, allocation ceilings of the warm read path) are ordinary
+# tests; the race detector over the packages with real concurrency
+# (pipeline singleflight and concurrent store Puts over the shard-directory
+# cache and buffer pools, the experiment fan-out and its machine pool,
+# parallel branch-and-bound, concurrent replay of shared recordings, HEFT placement,
+# and the optimization server's flight table and worker pool). The
+# benchmark harness in perfbench/ is its own module built against this one,
+# so it is vetted and tested too: a change that removes API the benchmark
+# uses fails here. Last, every program under examples/ runs and must exit 0,
+# since go build alone only proves that they compile.
 ci:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -83,10 +67,4 @@ ci:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 	$(GO) test -race ./internal/pipeline ./internal/exp ./internal/milp ./internal/lp ./internal/sim ./internal/profile ./internal/serve ./internal/core ./internal/schedfile ./internal/workloads ./internal/analytic
-	$(GO) run ./internal/tools/benchcheck
-
-# benchcheck in history mode: the usual floor/ceiling gate plus a comparison
-# of every gated metric against the previous BENCH_history.jsonl entry (10%
-# slack); a passing run appends the new entry as the next baseline.
-bench-history:
-	$(GO) run ./internal/tools/benchcheck -history
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done

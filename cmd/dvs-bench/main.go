@@ -24,6 +24,52 @@ import (
 	"ctdvs/internal/milp"
 )
 
+// optIn is the one experiment "all" leaves out: it takes several minutes.
+const optIn = "scaling"
+
+// catalogue lists every experiment -exp accepts, in the rows -list prints;
+// a row that opens a group carries the group's label.
+var catalogue = []struct {
+	label string
+	names []string
+	note  string
+}{
+	{"paper:", []string{"table1", "table3", "table4", "table5", "table6", "table7"}, ""},
+	{"", []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}, ""},
+	{"", []string{"fig14", "fig15", "fig17", "fig18", "fig19"}, ""},
+	{"extensions:", []string{"placement", "runtime", "ablation-transition", "ablation-block"}, ""},
+	{"", []string{"ablation-heuristic", "ablation-pathfilter", "ablation-leakage"}, ""},
+	{"opt-in:", []string{optIn}, " (excluded from 'all'; several minutes)"},
+}
+
+// selection parses an -exp list: comma-separated catalogue names, where
+// "all" anywhere in the list selects every experiment but the opt-in one.
+// A name outside the catalogue is an error that names it.
+func selection(list string) (map[string]bool, error) {
+	known := map[string]bool{}
+	for _, row := range catalogue {
+		for _, name := range row.names {
+			known[name] = true
+		}
+	}
+	selected := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		switch name = strings.TrimSpace(name); {
+		case name == "all":
+			for k := range known {
+				if k != optIn {
+					selected[k] = true
+				}
+			}
+		case known[name]:
+			selected[name] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q in -exp (see -list)", name)
+		}
+	}
+	return selected, nil
+}
+
 func main() {
 	app := cli.New("dvs-bench")
 	app.ScaleFlag()
@@ -35,25 +81,23 @@ func main() {
 	app.Parse()
 
 	if *list {
-		fmt.Println("paper:      table1 table3 table4 table5 table6 table7")
-		fmt.Println("            fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11")
-		fmt.Println("            fig14 fig15 fig17 fig18 fig19")
-		fmt.Println("extensions: placement runtime ablation-transition ablation-block")
-		fmt.Println("            ablation-heuristic ablation-pathfilter ablation-leakage")
-		fmt.Println("opt-in:     scaling (excluded from 'all'; several minutes)")
+		for _, row := range catalogue {
+			fmt.Printf("%-12s%s%s\n", row.label, strings.Join(row.names, " "), row.note)
+		}
 		return
 	}
+	selected, err := selection(*expList)
+	if err != nil {
+		app.Die(err)
+	}
+	if *gridN < 2 {
+		app.Dief("-grid %d: a surface needs at least 2 points per axis", *gridN)
+	}
+	want := func(name string) bool { return selected[name] }
 
 	cfg := app.Config()
 	cfg.MILP = &milp.Options{TimeLimit: app.SolveLimit}
 	cfg.Workers = app.Workers
-
-	selected := map[string]bool{}
-	all := *expList == "all"
-	for _, name := range strings.Split(*expList, ",") {
-		selected[strings.TrimSpace(name)] = true
-	}
-	want := func(name string) bool { return all || selected[name] }
 
 	out := os.Stdout
 	fail := func(name string, err error) {
@@ -197,7 +241,7 @@ func main() {
 		}
 		show(exp.RenderAblation("Ablation: edge-based vs block-based mode variables", rows))
 	}
-	if selected["scaling"] { // opt-in: several minutes of MILP solves
+	if want(optIn) { // opt-in: several minutes of MILP solves
 		rows, err := exp.SolverScaling(cfg, 4, 40, []int{2, 4, 6, 8}, app.SolveLimit)
 		if err != nil {
 			fail("scaling", err)

@@ -50,6 +50,10 @@ func main() {
 	skipMeasure := flag.Bool("skip-measure", false, "ask the server to skip the validation simulation")
 	timeoutMS := flag.Int64("timeout-ms", 0, "per-request timeout_ms field (0 = server default)")
 	flag.Parse()
+	if *n < 1 || *c < 1 {
+		fmt.Fprintf(os.Stderr, "dvs-load: -n %d -c %d: want at least one request and one client\n", *n, *c)
+		os.Exit(1)
+	}
 
 	bodies := make([][]byte, *n)
 	for i := range bodies {

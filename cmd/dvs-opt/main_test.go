@@ -180,9 +180,10 @@ func TestGraphFileFlagsMustAgree(t *testing.T) {
 }
 
 // TestRejectsNonFiniteInputs checks that a NaN or infinite regulator
-// capacitance or deadline ends in an error and exit status 1 before any
-// solve: no schedule is printed, no goroutine trace, and no solve,
-// graphsolve or validate artifact is left in the store.
+// capacitance or deadline, and a workload scale that is not a finite
+// positive number, end in an error and exit status 1 before any solve: no
+// schedule is printed, no goroutine trace, and no solve, graphsolve or
+// validate artifact is left in the store.
 func TestRejectsNonFiniteInputs(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -193,6 +194,10 @@ func TestRejectsNonFiniteInputs(t *testing.T) {
 		{[]string{"-bench", "adpcm/encode", "-deadline-us", "Inf"}, "deadline"},
 		{[]string{"-bench", "adpcm/encode", "-cap", "NaN"}, "capacitance"},
 		{[]string{"-bench", "adpcm/encode", "-cap", "Inf"}, "capacitance"},
+		{[]string{"-bench", "adpcm/encode", "-scale", "NaN"}, "-scale"},
+		{[]string{"-bench", "adpcm/encode", "-scale", "Inf"}, "-scale"},
+		{[]string{"-bench", "adpcm/encode", "-scale", "0"}, "-scale"},
+		{[]string{"-task-graph", "fork-join-2w", "-scale", "-1"}, "-scale"},
 	}
 	for _, tc := range cases {
 		dir := t.TempDir()

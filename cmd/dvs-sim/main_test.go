@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ctdvs/internal/exp"
@@ -146,6 +147,19 @@ func TestDeadlineToleranceMatchesMeasure(t *testing.T) {
 		if code != tc.code {
 			t.Errorf("-deadline-us %s against measured %v µs: exit %d, want %d\n%s",
 				dl, run.TimeUS, code, tc.code, stderr)
+		}
+	}
+}
+
+// TestRejectsBadScale checks that a -scale that is not a finite positive
+// number ends in an error and exit status 1 before anything runs: no
+// report and no goroutine trace.
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "0", "-0.5"} {
+		stdout, stderr, code := runCommand(t, "-schedule", schedFixture, "-input", "1", "-scale", scale)
+		if code != 1 || !strings.Contains(stderr, "-scale") || strings.Contains(stderr, "goroutine") || stdout != "" {
+			t.Errorf("dvs-sim -scale %s: exit %d, stdout %q, stderr %q; want exit 1, a -scale error and no report",
+				scale, code, stdout, stderr)
 		}
 	}
 }

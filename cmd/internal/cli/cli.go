@@ -9,6 +9,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -74,10 +75,14 @@ func (a *App) SolveFlags() {
 	flag.IntVar(&a.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 }
 
-// Parse parses the command line and starts CPU profiling if -cpuprofile was
-// given; the profile runs until Close.
+// Parse parses the command line, rejects a -scale that is not a finite
+// positive number, and starts CPU profiling if -cpuprofile was given; the
+// profile runs until Close.
 func (a *App) Parse() {
 	flag.Parse()
+	if !(a.Scale > 0) || math.IsInf(a.Scale, 1) {
+		a.Dief("-scale %v: want a finite number above 0", a.Scale)
+	}
 	if a.CPUProfile != "" {
 		f, err := os.Create(a.CPUProfile)
 		if err != nil {

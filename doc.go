@@ -10,6 +10,5 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for recorded paper-versus-measured
-// results. The benchmarks in bench_test.go regenerate each table/figure;
-// cmd/dvs-bench prints them.
+// results. cmd/dvs-bench regenerates and prints each table and figure.
 package ctdvs

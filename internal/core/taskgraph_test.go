@@ -116,7 +116,7 @@ func TestOptimizeGraphMeetsDeadlineAndSavesEnergy(t *testing.T) {
 		t.Errorf("graph DVS energy %v does not beat all-fastest %v", res.PredictedEnergyUJ, fastE)
 	}
 	// The prediction is exact: simulating the schedule reproduces it.
-	meas, err := sim.SimulateGraph(sim.SinglePool{M: sim.MustNew(sim.DefaultConfig())}, g, res.Schedule, 1)
+	meas, err := sim.SimulateGraph(sim.MustNew(sim.DefaultConfig()), g, res.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestOptimizeGraphDegenerateBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaGraph, err := sim.SimulateGraph(sim.SinglePool{M: m}, g, graph.Schedule, 1)
+	viaGraph, err := sim.SimulateGraph(m, g, graph.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}

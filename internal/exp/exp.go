@@ -1,7 +1,6 @@
 // Package exp regenerates every table and figure of the paper's evaluation.
 // Each experiment is a function returning structured data plus a Render
-// method producing a paper-style text table; cmd/dvs-bench drives them all
-// and bench_test.go wraps each in a testing.B benchmark.
+// method producing a paper-style text table; cmd/dvs-bench drives them all.
 //
 // See DESIGN.md for the experiment index (which paper table/figure each
 // function reproduces, with workload and parameters) and EXPERIMENTS.md for

@@ -326,7 +326,7 @@ func summarizeGraph(res *sim.GraphResult) GraphRunSummary {
 }
 
 // SimulateGraph executes a graph schedule: its outcome equals, field for
-// field, a run of sim.SimulateGraph on machines of this Config's
+// field, a run of sim.SimulateGraph on a machine of this Config's
 // configuration. The workload's profiles must come from this Config, as
 // BuildGraph's do.
 func (c *Config) SimulateGraph(gw *GraphWorkload, s *sim.GraphSchedule) (GraphRunSummary, error) {

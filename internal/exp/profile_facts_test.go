@@ -73,7 +73,7 @@ func TestFixedModeRunsMatchProfile(t *testing.T) {
 // schedule the slack reclaimer derives from it.
 func TestSimulateGraphMatchesSimulator(t *testing.T) {
 	c := testConfig()
-	ref := sim.SinglePool{M: sim.MustNew(c.Machine.Config())}
+	ref := sim.MustNew(c.Machine.Config())
 	for _, gs := range workloads.Graphs() {
 		coreCounts := []int{gs.Cores}
 		for _, k := range []int{1, 3} {
@@ -106,7 +106,7 @@ func TestSimulateGraphMatchesSimulator(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s: %v", name, s.kind, err)
 					}
-					want, err := sim.SimulateGraph(ref, gw.Graph, s.sched, 1)
+					want, err := sim.SimulateGraph(ref, gw.Graph, s.sched)
 					if err != nil {
 						t.Fatalf("%s %s: %v", name, s.kind, err)
 					}

@@ -27,7 +27,8 @@ func knapsackProblem() *Problem {
 
 // TestAnalyticBoundCallbackWiring pins the callback contract: the search
 // consults the bound at the root and at every child, a vacuous bound changes
-// nothing, and DisableAnalyticBound suppresses the calls entirely.
+// nothing, and a bound that declines every box is exactly no bound: that is
+// how callers switch off the bound core installs.
 func TestAnalyticBoundCallbackWiring(t *testing.T) {
 	t.Parallel()
 	base := solveOK(t, knapsackProblem(), &Options{Workers: 1})
@@ -56,26 +57,11 @@ func TestAnalyticBoundCallbackWiring(t *testing.T) {
 		Workers:       1,
 		AnalyticBound: func(ov map[int]lp.Bound) (float64, bool) { return 0, false },
 	})
-	if declined.Objective != base.Objective || declined.Nodes != base.Nodes {
-		t.Errorf("declined bound changed the solve: obj %v/%v nodes %d/%d",
-			declined.Objective, base.Objective, declined.Nodes, base.Nodes)
-	}
-
-	calls = 0
-	disabled := solveOK(t, knapsackProblem(), &Options{
-		Workers:              1,
-		DisableAnalyticBound: true,
-		AnalyticBound: func(ov map[int]lp.Bound) (float64, bool) {
-			calls++
-			return math.Inf(-1), true
-		},
-	})
-	if calls != 0 {
-		t.Errorf("DisableAnalyticBound still consulted the callback %d times", calls)
-	}
-	if disabled.Objective != base.Objective || disabled.Nodes != base.Nodes {
-		t.Errorf("disabled bound changed the solve: obj %v/%v nodes %d/%d",
-			disabled.Objective, base.Objective, disabled.Nodes, base.Nodes)
+	if declined.Objective != base.Objective || declined.Bound != base.Bound ||
+		declined.Nodes != base.Nodes || declined.LPIters != base.LPIters || declined.LPPivots != base.LPPivots {
+		t.Errorf("declined bound changed the solve: obj %v/%v bound %v/%v nodes %d/%d LPs %d/%d pivots %d/%d",
+			declined.Objective, base.Objective, declined.Bound, base.Bound, declined.Nodes, base.Nodes,
+			declined.LPIters, base.LPIters, declined.LPPivots, base.LPPivots)
 	}
 }
 

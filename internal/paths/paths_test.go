@@ -7,6 +7,7 @@ import (
 	"ctdvs/internal/ir"
 	"ctdvs/internal/sim"
 	"ctdvs/internal/volt"
+	"ctdvs/internal/workloads"
 )
 
 // diamond: 0 → (1|2) → 3, exit.
@@ -273,5 +274,32 @@ func TestNestedLoops(t *testing.T) {
 	}
 	if total != backTraversals+1 {
 		t.Errorf("paths = %d, want %d", total, backTraversals+1)
+	}
+}
+
+// BenchmarkPathProfiling times one traced simulation of gsm/encode at scale
+// 0.1: the machine's edge hook feeds a Ball-Larus tracer, as dvs-prof
+// -hot-paths runs it.
+func BenchmarkPathProfiling(b *testing.B) {
+	spec := workloads.Gsm(0.1)
+	g, err := cfg.FromProgram(spec.Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	numbering, err := New(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := sim.MustNew(sim.DefaultConfig())
+	mode := volt.XScale3().Mode(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := numbering.NewTracer()
+		m.EdgeHook = tr.Edge
+		if _, err := m.Run(spec.Program, spec.Inputs[0], mode); err != nil {
+			b.Fatal(err)
+		}
+		m.EdgeHook = nil
+		tr.Finish()
 	}
 }

@@ -2,21 +2,18 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"ctdvs/internal/ir"
 	"ctdvs/internal/volt"
 )
 
 // This file adds the multi-core scheduler-simulator: it executes a
-// list-scheduled ir.TaskGraph over N machine instances. Each task runs on one
-// core as an ordinary single-program simulation (fixed mode, or an edge-grained
+// list-scheduled ir.TaskGraph over N cores. Each task runs on its core as an
+// ordinary single-program simulation (fixed mode, or an edge-grained
 // Schedule for the degenerate 1-task case), so the compiled-kernel machines and
 // the record/replay profiler carry over per task; the cross-task timeline —
 // release times, precedence waits, per-core serialization and inter-task mode
-// transitions — is pure arithmetic assembled afterwards. Task simulations are
-// independent, which makes the parallel and serial execution paths
-// bit-identical by construction.
+// transitions — is pure arithmetic assembled afterwards.
 
 // TaskPlacement fixes where and how one task runs: the core it is assigned to
 // and the DVS mode it executes at.
@@ -31,7 +28,7 @@ type TaskPlacement struct {
 type GraphSchedule struct {
 	Modes     *volt.ModeSet
 	Regulator volt.Regulator
-	// Cores is the number of machine instances.
+	// Cores is the number of cores the tasks are placed on.
 	Cores int
 	// Placement[t] is task t's core and mode.
 	Placement []TaskPlacement
@@ -251,32 +248,13 @@ func PlanGraph(g *ir.TaskGraph, s *GraphSchedule, durUS, energyUJ []float64) (*G
 	return res, nil
 }
 
-// MachinePool supplies machines for task simulations. Acquire must return a
-// machine ready for exclusive use; Release returns it. SinglePool adapts one
-// machine for serial use. Production graph execution (exp.SimulateGraph)
-// plans timelines from profiles and borrows no machines; SimulateGraph over
-// a pool is the reference it is tested against.
-type MachinePool interface {
-	Acquire() *Machine
-	Release(*Machine)
-}
-
-// SinglePool is the trivial MachinePool over one machine; only valid for
-// serial simulation (workers = 1).
-type SinglePool struct{ M *Machine }
-
-// Acquire returns the wrapped machine.
-func (p SinglePool) Acquire() *Machine { return p.M }
-
-// Release is a no-op; the machine is reset on the next run's entry.
-func (p SinglePool) Release(*Machine) {}
-
-// SimulateGraph executes the task graph under the schedule: every task runs
-// as one single-program simulation on a pool machine (fixed-mode Run or
-// intra-task RunDVS), then the cross-task timeline is assembled by PlanGraph.
-// workers bounds the simulation fan-out; results are bit-identical for every
-// worker count because task simulations share no state.
-func SimulateGraph(pool MachinePool, g *ir.TaskGraph, s *GraphSchedule, workers int) (*GraphResult, error) {
+// SimulateGraph executes the task graph under the schedule on one machine:
+// every task runs as one single-program simulation (fixed-mode Run or
+// intra-task RunDVS), in task order, then the cross-task timeline is
+// assembled by PlanGraph. Production graph execution (exp.SimulateGraph)
+// plans timelines from profiles and runs no simulator; SimulateGraph is the
+// reference it is tested against.
+func SimulateGraph(m *Machine, g *ir.TaskGraph, s *GraphSchedule) (*GraphResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -284,18 +262,9 @@ func SimulateGraph(pool MachinePool, g *ir.TaskGraph, s *GraphSchedule, workers 
 		return nil, err
 	}
 	n := len(g.Tasks)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
 	durUS := make([]float64, n)
 	energyUJ := make([]float64, n)
-	runTask := func(t int) error {
-		m := pool.Acquire()
-		defer pool.Release(m)
-		task := g.Tasks[t]
+	for t, task := range g.Tasks {
 		var (
 			r   *Result
 			err error
@@ -306,37 +275,10 @@ func SimulateGraph(pool MachinePool, g *ir.TaskGraph, s *GraphSchedule, workers 
 			r, err = m.Run(task.Program, task.Input, s.Modes.Mode(s.Placement[t].Mode))
 		}
 		if err != nil {
-			return fmt.Errorf("sim: task %q: %w", task.Name, err)
+			return nil, fmt.Errorf("sim: task %q: %w", task.Name, err)
 		}
 		durUS[t] = r.TimeUS
 		energyUJ[t] = r.EnergyUJ
-		return nil
-	}
-	if workers == 1 {
-		for t := 0; t < n; t++ {
-			if err := runTask(t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for t := 0; t < n; t++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(t int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				errs[t] = runTask(t)
-			}(t)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 	return PlanGraph(g, s, durUS, energyUJ)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -47,35 +46,11 @@ func diamondSchedule(ms *volt.ModeSet) *GraphSchedule {
 	}
 }
 
-func TestSimulateGraphSerialParallelBitIdentical(t *testing.T) {
-	g := diamondGraph()
-	s := diamondSchedule(volt.XScale3())
-	serial, err := SimulateGraph(SinglePool{M: MustNew(DefaultConfig())}, g, s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := &freshPool{}
-	parallel, err := SimulateGraph(pool, g, s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial and parallel graph simulations differ:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-}
-
-// freshPool builds a machine per acquisition — maximally independent, so the
-// bit-identity test cannot pass by accidental state sharing.
-type freshPool struct{}
-
-func (freshPool) Acquire() *Machine { return MustNew(DefaultConfig()) }
-func (freshPool) Release(*Machine)  {}
-
 func TestSimulateGraphTimeline(t *testing.T) {
 	g := diamondGraph()
 	ms := volt.XScale3()
 	s := diamondSchedule(ms)
-	res, err := SimulateGraph(SinglePool{M: MustNew(DefaultConfig())}, g, s, 1)
+	res, err := SimulateGraph(MustNew(DefaultConfig()), g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +113,7 @@ func TestSimulateGraphDegenerateMatchesRunDVS(t *testing.T) {
 		Order:     [][]int{{0}},
 		Intra:     []*Schedule{sched},
 	}
-	res, err := SimulateGraph(SinglePool{M: MustNew(DefaultConfig())}, g, gs, 1)
+	res, err := SimulateGraph(MustNew(DefaultConfig()), g, gs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +127,7 @@ func TestSimulateGraphDeadlockDetected(t *testing.T) {
 	g := diamondGraph()
 	s := diamondSchedule(volt.XScale3())
 	s.Order = [][]int{{3, 0, 1}, {2}} // sink before its predecessors on core 0
-	_, err := SimulateGraph(SinglePool{M: MustNew(DefaultConfig())}, g, s, 1)
+	_, err := SimulateGraph(MustNew(DefaultConfig()), g, s)
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("contradictory order accepted: %v", err)
 	}
@@ -266,7 +241,7 @@ func TestReclaimNeverLater_NeverMoreEnergy(t *testing.T) {
 	}
 	// The measured (simulated) governed schedule agrees with the plan exactly:
 	// the tables are bit-identical to fixed-mode simulation.
-	meas, err := SimulateGraph(SinglePool{M: MustNew(DefaultConfig())}, g, governed, 1)
+	meas, err := SimulateGraph(MustNew(DefaultConfig()), g, governed)
 	if err != nil {
 		t.Fatal(err)
 	}

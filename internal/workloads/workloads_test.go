@@ -191,3 +191,15 @@ func TestScaleShrinksRuntime(t *testing.T) {
 		t.Errorf("scale 0.2 (%v µs) not ≈10× scale 0.02 (%v µs)", big.TimeUS, small.TimeUS)
 	}
 }
+
+var workloadSink *ir.Program
+
+// BenchmarkWorkloadConstruction times building the six-benchmark suite at
+// scale 0.1.
+func BenchmarkWorkloadConstruction(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, s := range All(0.1) {
+			workloadSink = s.Program
+		}
+	}
+}
