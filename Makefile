@@ -25,17 +25,20 @@ vet:
 # below the floor: warm-started vs cold MILP solves (internal/core), the
 # compiled simulator kernel vs the reference interpreter (internal/sim),
 # binary vs JSON and mapped vs copying artifact reads (internal/pipeline),
-# recorded vs per-mode profiling (internal/profile), the warm vs cold
-# deadline sweep (internal/exp) and warm vs cold serving (internal/serve).
-# No benchmark writes a file, so the tree stays clean.
+# recorded vs per-mode profiling (internal/profile), the pruned vs dense
+# continuous scan (internal/analytic), the warm vs cold deadline sweep
+# (internal/exp) and warm vs cold serving (internal/serve). No benchmark
+# writes a file, so the tree stays clean.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Short fuzzing pass over every artifact and request decoder, over the
-# voltage inversion against its reference bisection, and over the simplex's
-# sparse row updates against the dense reference kernel. Each target gets a few
-# seconds of coverage-guided input on top of its checked-in corpus; any
-# crasher it finds becomes a regression seed under testdata/fuzz.
+# voltage inversion against its reference bisection, over the continuous
+# optimizer's pruned scan against the dense reference scan, and over the
+# simplex's sparse row updates against the dense reference kernel. Each
+# target gets a few seconds of coverage-guided input on top of its
+# checked-in corpus; any crasher it finds becomes a regression seed under
+# testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime=10s ./internal/schedfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime=10s ./internal/schedfile
@@ -44,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzVoltage$$' -fuzztime=10s ./internal/volt
+	$(GO) test -run '^$$' -fuzz '^FuzzContinuousOptimum$$' -fuzztime=10s ./internal/analytic
 	$(GO) test -run '^$$' -fuzz '^FuzzSimplexKernel$$' -fuzztime=10s ./internal/lp
 
 # The PR gate. The first step fails when any Go file is not

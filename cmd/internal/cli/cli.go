@@ -9,7 +9,6 @@ package cli
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -17,6 +16,7 @@ import (
 
 	"ctdvs/internal/exp"
 	"ctdvs/internal/pipeline"
+	"ctdvs/internal/workloads"
 )
 
 // App carries the shared command state: parsed common flags and the pipeline
@@ -80,8 +80,8 @@ func (a *App) SolveFlags() {
 // profile runs until Close.
 func (a *App) Parse() {
 	flag.Parse()
-	if !(a.Scale > 0) || math.IsInf(a.Scale, 1) {
-		a.Dief("-scale %v: want a finite number above 0", a.Scale)
+	if err := workloads.CheckScale(a.Scale); err != nil {
+		a.Die(err)
 	}
 	if a.CPUProfile != "" {
 		f, err := os.Create(a.CPUProfile)

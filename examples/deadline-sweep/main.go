@@ -25,6 +25,9 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	steps := flag.Int("steps", 9, "number of deadlines between fastest and slowest runtimes")
 	flag.Parse()
+	if err := workloads.CheckScale(*scale); err != nil {
+		log.Fatal(err)
+	}
 
 	var spec *workloads.Spec
 	for _, s := range workloads.All(*scale) {

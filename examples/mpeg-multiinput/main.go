@@ -26,6 +26,9 @@ import (
 func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	flag.Parse()
+	if err := workloads.CheckScale(*scale); err != nil {
+		log.Fatal(err)
+	}
 
 	spec := workloads.MpegDecode(*scale)
 	machine := sim.MustNew(sim.DefaultConfig())

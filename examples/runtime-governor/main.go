@@ -26,6 +26,9 @@ func main() {
 	bench := flag.String("bench", "gsm/encode", "benchmark")
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	flag.Parse()
+	if err := workloads.CheckScale(*scale); err != nil {
+		log.Fatal(err)
+	}
 
 	var spec *workloads.Spec
 	for _, s := range workloads.All(*scale) {

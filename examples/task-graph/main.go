@@ -26,6 +26,9 @@ func main() {
 	cores := flag.Int("cores", 0, "override the graph's core count (0 = its own)")
 	scale := flag.Float64("scale", 0.05, "workload scale")
 	flag.Parse()
+	if err := workloads.CheckScale(*scale); err != nil {
+		log.Fatal(err)
+	}
 
 	gs, ok := workloads.Graph(*name)
 	if !ok {

@@ -444,6 +444,16 @@ func Ghostscript(scale float64) *Spec {
 	}
 }
 
+// CheckScale returns an error unless scale is a finite number above 0. The
+// constructors accept any scale, since trip counts are clamped to at least
+// 2, so every tool that takes -scale from its user checks it here first.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite number above 0", scale)
+	}
+	return nil
+}
+
 // All returns the full six-benchmark suite at the given scale.
 func All(scale float64) []*Spec {
 	return []*Spec{
